@@ -14,10 +14,8 @@ from .contsum import (
     ContinuousSum,
     EvalMode,
     EvalResult,
-    SignVector,
     density_feller,
     density_olds,
-    iter_sign_vectors,
 )
 from .discsum import (
     DiscreteComponent,
@@ -33,14 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuousComponent",
     "ContinuousSum",
-    "SignVector",
     "EvalMode",
     "EvalResult",
     "EXACT",
     "FLOAT",
     "density_feller",
     "density_olds",
-    "iter_sign_vectors",
     "DiscreteComponent",
     "DiscreteSum",
     "csc_coefficient",

@@ -11,7 +11,7 @@ round-half-even, and CSV output is byte-deterministic for a fixed job.
 from __future__ import annotations
 
 import argparse
-import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,9 +160,9 @@ def _build_parser() -> _Parser:
         g = p.add_mutually_exclusive_group()
         g.add_argument("--exact", action="store_true", help="exact rationals (default)")
         g.add_argument("--float", dest="float_", action="store_true",
-                       help="compensated float arithmetic")
+                       help="the exact value rounded to a double")
         p.add_argument("--no-condition", action="store_true",
-                       help="skip the condition estimate in float mode")
+                       help="omit the condition column in float mode")
 
     def add_points_args(p):
         p.add_argument("--at", type=_rational, metavar="X", help="evaluation point")
@@ -274,9 +274,24 @@ def _dump_config(path: str, spec: JobSpec):
         fh.write("\n".join(lines) + "\n")
 
 
+# options whose value may start with "-", such as `--comp -1:1/4` or `--at -1/2`
+_SIGNED_OPTIONS = {"--comp", "--at", "--q", "--from", "--to", "--step"}
+
+
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """Join `--opt -v` into `--opt=-v`: argparse takes `-1/2` for an option."""
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def parse_args(argv: Sequence[str]) -> JobSpec:
     """Parse an argv list into a validated JobSpec; raises UsageError."""
-    ns = _build_parser().parse_args(list(argv))
+    ns = _build_parser().parse_args(_attach_signed_values(argv))
     spec = JobSpec(command=ns.command)
 
     if ns.command in _CONTINUOUS_COMMANDS:

@@ -19,30 +19,39 @@ value 1 above the support.
 Densities at the finitely many jump points (only n = 1 has jumps) take the
 midpoint value, e.g. 1/(4a) at the edges of a single uniform.
 
+The vertices enter the sum only through their arguments.  Writing the
+argument of a vertex as x - sum_j (c_j + a_j) plus the legs 2 a_j of the
+components whose sign is +1, the parity weights of all vertices with the
+same argument add up to one coefficient of prod_j (1 - z^(2 a_j)), the
+box-spline view of de Boor, Hollig and Riemenschneider (Box Splines, 1993).
+Each model builds that merged signed vertex measure once, equal arguments
+merged and zero weights dropped, and every closed form in the package is one
+call of _vertex_sum over it.  Equal or commensurate widths merge: n
+identical components leave n + 1 entries instead of 2^n.
+
 Two evaluation modes are provided:
 
 * Exact: all arithmetic in arbitrary-precision rationals.  This is the
   reference mode; results are exact field elements.
-* Float: IEEE double output.  The 2^n-term sum alternates over near-equal
-  magnitudes and can cancel catastrophically, so the evaluator carries the
-  running vertex argument and its powers in double-double precision and
-  accumulates with compensated summation.  The returned condition estimate
-  (sum of |terms| / |sum of terms|) bounds the cancellation: trust a float
-  result only while condition_estimate * machine epsilon is well below the
-  relative error you need.
+* Float: the exact value at the double nearest to x, rounded once to the
+  nearest double.  The condition estimate is 1.0 when that is a normal
+  double (or the exact value is 0) and inf when a nonzero value underflows
+  or overflows.
 
-Complexity is O(2^n) per evaluation.  Sums with more than N_MAX = 24
-components are rejected; for identical components use density_feller, which
-needs only n + 1 terms.
+The measure has up to 2^n entries when no widths are commensurate.  Sums
+with more than N_MAX = 24 components are rejected; for identical components
+use density_feller, which needs only n + 1 entries.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -51,19 +60,13 @@ from .errors import CapacityError, ModeError, N_MAX
 __all__ = [
     "ContinuousComponent",
     "ContinuousSum",
-    "SignVector",
     "EvalMode",
     "EvalResult",
     "EXACT",
     "FLOAT",
     "density_feller",
     "density_olds",
-    "iter_sign_vectors",
 ]
-
-Real = Union[int, float, Fraction]
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant for two-products
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -110,52 +113,11 @@ class ContinuousComponent:
 
 
 @dataclass(frozen=True)
-class SignVector:
-    """One vertex of the box prod_j [-a_j, a_j]: entries in {-1, +1}.
-
-    parity is the product of the entries; it is the weight the closed forms
-    attach to the vertex.
-    """
-
-    entries: tuple
-    parity: int
-
-    def __post_init__(self):
-        if any(e not in (-1, 1) for e in self.entries):
-            raise ValueError("sign vector entries must be -1 or +1")
-        if math.prod(self.entries) != self.parity:
-            raise ValueError("parity must equal the product of the entries")
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[int]) -> "SignVector":
-        t = tuple(entries)
-        return cls(t, math.prod(t))
-
-    def dot(self, values: Sequence) -> Fraction:
-        """Signed sum sum_j entries[j] * values[j]."""
-        return sum(e * v for e, v in zip(self.entries, values))
-
-
-def iter_sign_vectors(n: int) -> Iterator[SignVector]:
-    """Yield all 2^n sign vectors in Gray-code order (one flip per step)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    entries = [-1] * n
-    parity = -1 if n % 2 else 1
-    yield SignVector(tuple(entries), parity)
-    for i in range(1, 1 << n):
-        j = (i & -i).bit_length() - 1
-        entries[j] = -entries[j]
-        parity = -parity
-        yield SignVector(tuple(entries), parity)
-
-
-@dataclass(frozen=True)
 class EvalMode:
-    """How to evaluate: "exact" rationals or compensated "float" arithmetic.
+    """How to evaluate: "exact" rationals or the exact value rounded to "float".
 
-    report_condition only affects float mode; when set, results carry
-    condition_estimate = (sum of |terms|) / |sum of terms|.
+    report_condition only affects float mode; when set, results carry the
+    condition_estimate described in EvalResult.
     """
 
     kind: str
@@ -176,12 +138,15 @@ FLOAT = EvalMode("float")
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a density/CDF evaluation plus an optional conditioning report.
+    """Value of a density/CDF evaluation plus an optional error report.
 
-    value is a Fraction in exact mode, a float in float mode.
-    condition_estimate is None in exact mode (or when not requested); when a
-    float evaluation short-circuits outside the support it is exactly 1.0,
-    and it is +inf when the computed sum is 0 but the terms were not.
+    value is a Fraction in exact mode.  In float mode it is the exact value
+    at the double nearest to x, rounded once to the nearest double (+-inf
+    beyond the float range).  condition_estimate is None in exact mode or
+    when not requested.  Otherwise it bounds the relative error in units of
+    the rounding error: 1.0 when value is a normal double or the exact value
+    is 0, inf when a nonzero exact value rounded to a subnormal, to 0 or
+    beyond the float range.
     """
 
     value: Union[Fraction, float]
@@ -191,174 +156,94 @@ class EvalResult:
         return float(self.value)
 
 
+def _point(x, mode: EvalMode) -> Fraction:
+    """The evaluation point as a rational; float mode first rounds it to a double."""
+    if mode.is_exact:
+        return _as_fraction(x, "x")
+    xv = float(x)
+    if not math.isfinite(xv):
+        raise ValueError(f"x must be finite, got {x!r}")
+    return Fraction(xv)
+
+
+def _rounded(exact: Fraction) -> float:
+    """exact rounded once to the nearest double; +-inf beyond the float range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _result(exact: Fraction, mode: EvalMode) -> EvalResult:
+    if mode.is_exact:
+        return EvalResult(exact)
+    value = _rounded(exact)
+    if not mode.report_condition:
+        return EvalResult(value)
+    normal = exact == 0 or sys.float_info.min <= abs(value) < math.inf
+    return EvalResult(value, 1.0 if normal else math.inf)
+
+
 # ---------------------------------------------------------------------------
-# Vertex-sum engines
+# The merged signed vertex measure
 # ---------------------------------------------------------------------------
-#
-# Both engines walk the 2^n vertices in Gray-code order: one flag flips per
-# step, so the running argument and the parity update in O(1).  The exact
-# engine clears denominators first and works in plain integers; the float
-# engine keeps the argument and its powers in double-double precision and
-# accumulates with Neumaier compensation.
 
 _TAU = 0
 _SIGN = 1
 _RAW = 2
 
 
-def _vertex_sum_exact(start: Fraction, legs: Sequence[Fraction], exponent: int,
-                      form: int, start_parity: int) -> Fraction:
-    """sum over flag vectors b of w(arg_b) * parity_b, exactly.
+def _vertex_measure(legs: Sequence, parity: int) -> tuple:
+    """The coefficients of parity * prod_j (1 - z^legs[j]), as (keys, weights, den).
 
-    arg at the all-clear vertex is `start`; setting flag j adds legs[j] and
-    flips the parity.  w(y) is y^exponent * tau(y) (_TAU), y^exponent *
-    sign(y) (_SIGN) or plain y^exponent (_RAW).
+    The legs are rationals (or ints) over the common denominator den; keys
+    are the sorted integer exponents times den with nonzero weight, and
+    weights the matching integer coefficients.  Key k stands for every flag
+    vector whose set legs sum to k / den, weighted by parity * (-1)^(flags
+    set).
     """
-    n = len(legs)
-    den = start.denominator
+    den = math.lcm(*(leg.denominator for leg in legs))
+    weight = {0: parity}
     for leg in legs:
-        den = den * leg.denominator // math.gcd(den, leg.denominator)
-    arg = start.numerator * (den // start.denominator)
-    legs_i = [leg.numerator * (den // leg.denominator) for leg in legs]
-
-    rho = start_parity
-    mask = 0
-    total = 0
-    if exponent == 0:
-        # tau weights are half-integers; accumulate twice the sum
-        for i in range(1 << n):
-            if i:
-                bit = i & -i
-                j = bit.bit_length() - 1
-                mask ^= bit
-                arg = arg + legs_i[j] if mask & bit else arg - legs_i[j]
-                rho = -rho
-            if form == _TAU:
-                if arg > 0:
-                    total += 2 * rho
-                elif arg == 0:
-                    total += rho
-            elif form == _SIGN:
-                if arg > 0:
-                    total += 2 * rho
-                elif arg < 0:
-                    total -= 2 * rho
-            else:
-                total += 2 * rho
-        return Fraction(total, 2)
-
-    for i in range(1 << n):
-        if i:
-            bit = i & -i
-            j = bit.bit_length() - 1
-            mask ^= bit
-            arg = arg + legs_i[j] if mask & bit else arg - legs_i[j]
-            rho = -rho
-        if form == _TAU:
-            if arg > 0:
-                total += rho * arg ** exponent
-        elif form == _SIGN:
-            if arg > 0:
-                total += rho * arg ** exponent
-            elif arg < 0:
-                total -= rho * arg ** exponent
-        else:
-            if arg:
-                total += rho * arg ** exponent
-    return Fraction(total, den ** exponent)
+        step = leg.numerator * (den // leg.denominator)
+        merged = dict(weight)
+        for k, w in weight.items():
+            merged[k + step] = merged.get(k + step, 0) - w
+        weight = {k: w for k, w in merged.items() if w}
+    keys = tuple(sorted(weight))
+    return keys, tuple(weight[k] for k in keys), den
 
 
-def _vertex_sum_float(start_terms: Sequence[float], legs: Sequence[float],
-                      exponent: int, form: int, start_parity: int):
-    """Float counterpart of _vertex_sum_exact.
+def _vertex_sum(measure: tuple, start, exponent: int, form: int) -> Fraction:
+    """sum over the measure of w * phi(start + key / den), exactly.
 
-    Returns (signed_sum, magnitude_sum).  The running argument is kept as a
-    double-double (hi, lo) pair: leg updates use exact two-sums, powers use
-    double-double products, so each term is accurate to O(eps^2) and the
-    compensated total is limited only by the final rounding and the genuine
-    cancellation reported through magnitude_sum.
+    phi(y) is y^exponent * tau(y) (_TAU), y^exponent * sign(y) (_SIGN) or
+    plain y^exponent (_RAW, with 0^0 = 1).  start is a rational or an int.
+    Keys and start are brought to one denominator, so the loop runs on
+    integers; the arguments ascend with the keys, which locates the zero
+    argument by bisection.
     """
-    th = 0.0
-    tl = 0.0
-    for v in start_terms:
-        s = th + v
-        bb = s - th
-        tl += (th - (s - bb)) + (v - bb)
-        th = s
-    s = th + tl
-    tl -= s - th
-    th = s
+    keys, weights, den = measure
+    scale = math.lcm(den, start.denominator)
+    s = start.numerator * (scale // start.denominator)
+    m = scale // den
+    neg = bisect_left(keys, -(s // m))   # keys before neg have arguments < 0
+    pos = bisect_right(keys, (-s) // m)  # keys from pos on have arguments > 0
 
-    n = len(legs)
-    rho = start_parity
-    mask = 0
-    acc = 0.0
-    comp = 0.0
-    mag = 0.0
-    for i in range(1 << n):
-        if i:
-            bit = i & -i
-            j = bit.bit_length() - 1
-            mask ^= bit
-            d = legs[j] if mask & bit else -legs[j]
-            s = th + d
-            bb = s - th
-            tl += (th - (s - bb)) + (d - bb)
-            th = s + tl
-            tl -= th - s
-            rho = -rho
+    def part(lo, hi):
+        return sum(w * (s + m * k) ** exponent
+                   for k, w in zip(keys[lo:hi], weights[lo:hi]))
 
-        # classify the double-double argument; comparisons are exact
-        if th > 0.0 or (th == 0.0 and tl > 0.0):
-            sgn = rho
-            half = False
-        elif th == 0.0 and tl == 0.0:
-            if form == _TAU and exponent == 0:
-                sgn = rho
-                half = True
-            elif form == _RAW and exponent == 0:
-                sgn = rho  # 0^0 = 1 in these polynomial identities
-                half = False
-            else:
-                continue  # tau/sign weight is 0 for exponent >= 1, sign(0) = 0
-        else:
-            if form == _TAU:
-                continue
-            sgn = -rho if form == _SIGN else rho
-            half = False
-
+    if form == _TAU:
+        # tau(0) = 1/2 matters for exponent 0 only; accumulate twice the sum
+        twice = 2 * part(pos, len(keys))
         if exponent == 0:
-            vh = 0.5 * sgn if half else float(sgn)
-            vl = 0.0
-        else:
-            ph = th
-            pl = tl
-            for _ in range(exponent - 1):
-                p = ph * th
-                c = _SPLIT * ph
-                hx = c - (c - ph)
-                lx = ph - hx
-                c = _SPLIT * th
-                hy = c - (c - th)
-                ly = th - hy
-                e = ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
-                e += ph * tl + pl * th
-                ph = p + e
-                pl = e - (ph - p)
-            if sgn > 0:
-                vh, vl = ph, pl
-            else:
-                vh, vl = -ph, -pl
-
-        t = acc + vh
-        if abs(acc) >= abs(vh):
-            comp += (acc - t) + vh
-        else:
-            comp += (vh - t) + acc
-        acc = t
-        comp += vl
-        mag += abs(vh)
-    return acc + comp, mag
+            twice += sum(weights[neg:pos])
+    elif form == _SIGN:
+        twice = 2 * (part(pos, len(keys)) - part(0, neg))
+    else:
+        twice = 2 * part(0, len(keys))
+    return Fraction(twice, 2 * scale ** exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +304,14 @@ class ContinuousSum:
         return sum(c.hi for c in self.components)
 
     @cached_property
-    def _sum_a_plus_c(self) -> Fraction:
-        return sum(c.center + c.half_width for c in self.components)
-
-    @cached_property
-    def _legs(self) -> tuple:
-        return tuple(2 * c.half_width for c in self.components)
+    def _measure(self) -> tuple:
+        """Vertex measure in arguments x - _hi + key / den: legs 2 a_j, parity (-1)^n."""
+        return _vertex_measure([2 * c.half_width for c in self.components],
+                               -1 if self.n % 2 else 1)
 
     @cached_property
     def _width_product(self) -> Fraction:
         return math.prod(c.half_width for c in self.components)
-
-    @cached_property
-    def _legs_f(self) -> tuple:
-        return tuple(2.0 * float(c.half_width) for c in self.components)
-
-    @cached_property
-    def _start_terms_f(self) -> tuple:
-        neg = [-float(c.half_width) for c in self.components]
-        neg += [-float(c.center) for c in self.components]
-        return tuple(neg)
 
     def _norm(self, exponent: int, extra_pow2: int = 0) -> Fraction:
         return (math.factorial(exponent) * 2 ** (self.n + extra_pow2)
@@ -467,38 +340,13 @@ class ContinuousSum:
 
     def _eval(self, x, mode: EvalMode, exponent: int, form: int,
               extra_pow2: int, below, above) -> EvalResult:
-        if mode.is_exact:
-            xf = _as_fraction(x, "x")
-            if xf < self._lo:
-                return EvalResult(Fraction(below))
-            if xf > self._hi:
-                return EvalResult(Fraction(above))
-            start = xf - self._sum_a_plus_c
-            raw = _vertex_sum_exact(start, self._legs, exponent, form,
-                                    -1 if self.n % 2 else 1)
-            return EvalResult(raw / self._norm(exponent, extra_pow2))
-
-        xv = float(x)
-        if not math.isfinite(xv):
-            raise ValueError(f"x must be finite, got {x!r}")
-        cond = 1.0 if mode.report_condition else None
-        # support comparison is exact: the float is a rational
-        xf = Fraction(xv)
+        xf = _point(x, mode)
         if xf < self._lo:
-            return EvalResult(float(below), cond)
+            return _result(Fraction(below), mode)
         if xf > self._hi:
-            return EvalResult(float(above), cond)
-        raw, mag = _vertex_sum_float((xv,) + self._start_terms_f, self._legs_f,
-                                     exponent, form, -1 if self.n % 2 else 1)
-        value = raw / float(self._norm(exponent, extra_pow2))
-        if mode.report_condition:
-            if raw != 0.0:
-                cond = max(1.0, mag / abs(raw))
-            else:
-                cond = math.inf if mag > 0.0 else 1.0
-        else:
-            cond = None
-        return EvalResult(value, cond)
+            return _result(Fraction(above), mode)
+        raw = _vertex_sum(self._measure, xf - self._hi, exponent, form)
+        return _result(raw / self._norm(exponent, extra_pow2), mode)
 
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """Density at x via the step-function (tau) form of the vertex sum.
@@ -532,13 +380,13 @@ class ContinuousSum:
         hook.  Inputs must be finite rationals.
         """
         xf = _as_fraction(x, "x")
-        start = xf - self._sum_a_plus_c
-        return _vertex_sum_exact(start, self._legs, self.n - 1, _RAW,
-                                 -1 if self.n % 2 else 1)
+        return _vertex_sum(self._measure, xf - self._hi, self.n - 1, _RAW)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
 
+        Each float midpoint is compared exactly: the exact cdf there against
+        the exact q, so tail levels such as 1 - 1e-12 keep their precision.
         The bracket is narrowed to 2**-40 of the support width (about 40
         iterations), far below tabulation needs.  quantile(0) and
         quantile(1) return the exact support endpoints.
@@ -551,11 +399,10 @@ class ContinuousSum:
             return lo
         if qf == 1:
             return hi
-        qv = float(qf)
         tol = (hi - lo) * 2.0 ** -40
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid, FLOAT).value < qv:
+            if self.cdf(Fraction(mid)).value < qf:
                 lo = mid
             else:
                 hi = mid
@@ -565,16 +412,16 @@ class ContinuousSum:
     #
     # Plain float64 numpy paths for tables, plots and goodness-of-fit runs.
     # No compensation: accuracy is ~condition * machine epsilon, ample for
-    # those uses.  Memory is O(2^n); intended for moderate n.
+    # those uses.  Memory is O(measure size); intended for moderate n.
 
     @cached_property
     def _vertex_table(self):
-        offs = np.array([math.fsum(self._start_terms_f)])
-        signs = np.array([-1.0 if self.n % 2 else 1.0])
-        for leg in self._legs_f:
-            offs = np.concatenate([offs, offs + leg])
-            signs = np.concatenate([signs, -signs])
-        return offs, signs
+        """Float offsets key / den - _hi and weights of the vertex measure."""
+        keys, weights, den = self._measure
+        scale = math.lcm(den, self._hi.denominator)
+        shift = self._hi.numerator * (scale // self._hi.denominator)
+        offs = np.array([(k * (scale // den) - shift) / scale for k in keys])
+        return offs, np.array(weights, dtype=float)
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -619,49 +466,22 @@ def density_feller(n: int, a, x, mode: EvalMode = EXACT):
     Collapsing the vertex sum by the number of negative signs gives
 
         f_n(x) = sum_{k=0}^{n} (-1)^k C(n, k) (x + (n-2k) a)_+^(n-1)
-                 / ((n-1)! (2a)^n).
+                 / ((n-1)! (2a)^n),
 
-    Agrees exactly with density_tau on the equivalent n-component sum, with
-    no capacity limit.  Returns a Fraction in exact mode, a float otherwise.
+    which is the vertex measure of n equal legs 2a.  Agrees exactly with
+    density_tau on the equivalent n-component sum, with no capacity limit.
+    Returns a Fraction in exact mode, the exact value rounded to a float
+    otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     af = _as_fraction(a, "a")
     if af <= 0:
         raise ValueError(f"a must be > 0, got {a!r}")
-    if mode.is_exact:
-        xf = _as_fraction(x, "x")
-        total = Fraction(0)
-        for k in range(n + 1):
-            arg = xf + (n - 2 * k) * af
-            if arg > 0:
-                w = arg ** (n - 1)
-            elif arg == 0:
-                w = Fraction(1, 2) if n == 1 else Fraction(0)
-            else:
-                continue
-            total += (-1) ** k * math.comb(n, k) * w
-        return total / (math.factorial(n - 1) * (2 * af) ** n)
-    xv = float(x)
-    av = float(af)
-    acc = 0.0
-    comp = 0.0
-    for k in range(n + 1):
-        arg = xv + (n - 2 * k) * av
-        if arg > 0.0:
-            w = arg ** (n - 1)
-        elif arg == 0.0:
-            w = 0.5 if n == 1 else 0.0
-        else:
-            continue
-        v = math.comb(n, k) * (w if k % 2 == 0 else -w)
-        t = acc + v
-        if abs(acc) >= abs(v):
-            comp += (acc - t) + v
-        else:
-            comp += (v - t) + acc
-        acc = t
-    return (acc + comp) / float(math.factorial(n - 1) * (2 * af) ** n)
+    raw = _vertex_sum(_vertex_measure([2 * af] * n, -1 if n % 2 else 1),
+                      _point(x, mode) - n * af, n - 1, _TAU)
+    value = raw / (math.factorial(n - 1) * (2 * af) ** n)
+    return value if mode.is_exact else _rounded(value)
 
 
 def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
@@ -672,7 +492,8 @@ def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
 
     Equals density_tau on the shifted model (c_j = a_j / 2, half-width
     a_j / 2); with the midpoint step convention the two agree at every x,
-    including the jump points of the n = 1 case.
+    including the jump points of the n = 1 case.  Returns a Fraction in
+    exact mode, the exact value rounded to a float otherwise.
     """
     avec = [_as_fraction(v, "a_j") for v in a]
     if not avec:
@@ -684,12 +505,8 @@ def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
         raise CapacityError(
             f"{n} components would need 2**{n} subset terms (limit N_MAX={N_MAX})"
         )
-    norm = math.factorial(n - 1) * math.prod(avec)
-    if mode.is_exact:
-        xf = _as_fraction(x, "x")
-        # subsets in Gray order; adding element j subtracts a_j from the argument
-        raw = _vertex_sum_exact(xf, [-v for v in avec], n - 1, _TAU, 1)
-        return raw / norm
-    xv = float(x)
-    raw, _ = _vertex_sum_float((xv,), [-float(v) for v in avec], n - 1, _TAU, 1)
-    return raw / float(norm)
+    # adding element j to the subset subtracts a_j from the argument
+    raw = _vertex_sum(_vertex_measure([-v for v in avec], 1), _point(x, mode),
+                      n - 1, _TAU)
+    value = raw / (math.factorial(n - 1) * math.prod(avec))
+    return value if mode.is_exact else _rounded(value)

@@ -23,12 +23,12 @@ structure makes floating point useless at these sizes.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable
 
+from .contsum import _SIGN, _TAU, _vertex_measure, _vertex_sum
 from .errors import CapacityError, N_MAX
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Laurent coefficients of (1 / sin x)^n
 # ---------------------------------------------------------------------------
-
-_coeff_lock = threading.Lock()
-
 
 @lru_cache(maxsize=None)
 def _csc_coefficient(n: int, k: int) -> Fraction:
@@ -68,15 +65,15 @@ def csc_coefficient(n: int, k: int) -> Fraction:
                   / (2^m (2k+m)!) * sum_{r=0}^{m} (-1)^r C(m, r) (2r-m)^(2k+m)
 
     whose internal alternating sign makes the result the plain series
-    coefficient (B(n, 0) = 1, B(1, 1) = 1/6, ...).  Values are memoized; the
-    lock makes concurrent first computations observe one consistent value.
+    coefficient (B(n, 0) = 1, B(1, 1) = 1/6, ...).  Values are memoized in
+    an lru_cache; the value is a pure function of (n, k), so concurrent first
+    computations agree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    with _coeff_lock:
-        return _csc_coefficient(n, k)
+    return _csc_coefficient(n, k)
 
 
 def csc_coefficient_table(n_max: int, k_max: int) -> Dict[tuple, Fraction]:
@@ -147,60 +144,48 @@ class DiscreteSum:
     def support(self) -> tuple:
         return (-self.span, self.span)
 
-    # -- vertex power sums --------------------------------------------------
+    @cached_property
+    def _measure(self) -> tuple:
+        """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1)."""
+        return _vertex_measure([2 * c.count for c in self.components],
+                               -1 if self.n % 2 else 1)
 
-    def _power_sums(self, p: int, signed: bool) -> list:
-        """S_k = sum over sign vectors of w(arg) * arg^(n-2k-1) * parity.
+    def _pmf(self, p, form: int, pow2: int) -> Fraction:
+        """The outer Laurent sum over k of the vertex sums with exponent n-2k-1.
 
-        arg = 2p + sum_j (2 m_j + 1) eps_j, an integer of the parity of n.
-        With signed=False the weight is tau(arg) (the arg = 0, exponent = 0
-        combination cannot occur: exponent 0 needs odd n, whose arguments
-        are odd); with signed=True the weight is sign(arg).  Gray-code
-        enumeration keeps the per-vertex update O(1).
+        The vertex arguments are integers of the parity of n, so the tau
+        weight never meets a zero argument with exponent 0 (that needs odd
+        n, whose arguments are odd).
         """
+        try:
+            point = Fraction(p)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"p must be an integer, got {p!r}") from exc
+        if point.denominator != 1:
+            raise ValueError(f"p must be an integer, got {p!r}")
         n = self.n
-        legs = [2 * c.count for c in self.components]
-        arg = 2 * p - sum(c.count for c in self.components)
-        exps = [n - 2 * k - 1 for k in range((n - 1) // 2 + 1)]
-        sums = [0] * len(exps)
-        rho = -1 if n % 2 else 1
-        mask = 0
-        for i in range(1 << n):
-            if i:
-                bit = i & -i
-                j = bit.bit_length() - 1
-                mask ^= bit
-                arg = arg + legs[j] if mask & bit else arg - legs[j]
-                rho = -rho
-            if arg > 0:
-                for idx, e in enumerate(exps):
-                    sums[idx] += rho * arg ** e
-            elif arg < 0 and signed:
-                for idx, e in enumerate(exps):
-                    sums[idx] -= rho * arg ** e
-            # arg == 0: tau weight multiplies arg^e = 0 (e >= 1 when n even),
-            # and sign(0) = 0, so nothing contributes either way
-        return sums
-
-    def _combine(self, sums: list, pow2: int) -> Fraction:
-        n = self.n
+        start = 2 * point.numerator - sum(c.count for c in self.components)
         total = Fraction(0)
-        for k, s in enumerate(sums):
+        for k in range((n - 1) // 2 + 1):
+            e = n - 2 * k - 1
+            s = _vertex_sum(self._measure, start, e, form)
             if s:
-                e = n - 2 * k - 1
-                total += (-1) ** k * csc_coefficient(n, k) \
-                    * Fraction(s, math.factorial(e))
+                total += (-1) ** k * csc_coefficient(n, k) * s / math.factorial(e)
         return self.mass_norm / 2 ** pow2 * total
 
     # -- public operations ---------------------------------------------------
 
     def pmf_tau(self, p: int) -> Fraction:
-        """P(S = p) via the step-function form, as an exact rational."""
-        return self._combine(self._power_sums(int(p), signed=False), self.n - 1)
+        """P(S = p) via the step-function form, as an exact rational.
+
+        p must be integral (an int, or a float or Fraction equal to one);
+        anything else raises ValueError.
+        """
+        return self._pmf(p, _TAU, self.n - 1)
 
     def pmf_sign(self, p: int) -> Fraction:
         """P(S = p) via the sign-function form; equals pmf_tau exactly."""
-        return self._combine(self._power_sums(int(p), signed=True), self.n)
+        return self._pmf(p, _SIGN, self.n)
 
     def pmf_full(self) -> Dict[int, Fraction]:
         """The whole PMF on [-span, span]; values sum to exactly 1."""

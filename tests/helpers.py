@@ -1,5 +1,6 @@
 """Shared generators for seeded random models and hypothesis strategies."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from unisum import ContinuousSum, DiscreteSum
+from unisum.oracles import csc_series_oracle
 
 
 def rational(rng: random.Random, lo, hi, max_den: int = 8) -> Fraction:
@@ -43,6 +45,71 @@ def discrete_panel(seed: int, size: int, n_max: int = 6, m_max: int = 5):
     return panel
 
 
+# brute-force vertex enumeration ---------------------------------------------
+#
+# The reference for every closed form: one term per sign vector of
+# itertools.product, with no merging, ordering or shared state.
+
+def step_power(y, exponent: int, form: str):
+    """y^e * tau(y) ("tau", tau(0) = 1/2), y^e * sign(y) ("sign") or y^e ("raw")."""
+    if form == "raw":
+        return Fraction(y) ** exponent
+    if y == 0:
+        return Fraction(1, 2) if form == "tau" and exponent == 0 else Fraction(0)
+    if y > 0:
+        return Fraction(y) ** exponent
+    return Fraction(0) if form == "tau" else -Fraction(y) ** exponent
+
+
+def brute_vertex_sum(shift, half_widths, exponent: int, form: str):
+    """sum over eps in {-1,1}^n of phi(shift + sum_j eps_j a_j) * prod_j eps_j."""
+    total = Fraction(0)
+    for eps in itertools.product((-1, 1), repeat=len(half_widths)):
+        arg = shift + sum(e * a for e, a in zip(eps, half_widths))
+        total += math.prod(eps) * step_power(arg, exponent, form)
+    return total
+
+
+def brute_continuous(pairs, x, what: str) -> Fraction:
+    """density_tau, density_sign, cdf or cool_identity_residual of the sum, by brute force."""
+    cs = [Fraction(c) for c, _ in pairs]
+    avec = [Fraction(a) for _, a in pairs]
+    n = len(pairs)
+    exponent, form, pow2 = {"density_tau": (n - 1, "tau", n),
+                            "density_sign": (n - 1, "sign", n + 1),
+                            "cdf": (n, "tau", n),
+                            "cool_identity_residual": (n - 1, "raw", None)}[what]
+    raw = brute_vertex_sum(Fraction(x) - sum(cs), avec, exponent, form)
+    if pow2 is None:
+        return raw
+    return raw / (math.factorial(exponent) * 2 ** pow2 * math.prod(avec))
+
+
+def brute_olds(avec, x) -> Fraction:
+    """Inclusion-exclusion over the subsets of {1..n}, for uniforms on [0, a_j]."""
+    avec = [Fraction(a) for a in avec]
+    n = len(avec)
+    total = Fraction(0)
+    for flags in itertools.product((0, 1), repeat=n):
+        arg = Fraction(x) - sum(a for f, a in zip(flags, avec) if f)
+        total += (-1) ** sum(flags) * step_power(arg, n - 1, "tau")
+    return total / (math.factorial(n - 1) * math.prod(avec))
+
+
+def brute_pmf(ms, p: int, form: str) -> Fraction:
+    """The discrete closed form with the vertex sums enumerated and the
+    Laurent coefficients taken from the power-series oracle."""
+    n = len(ms)
+    counts = [2 * m + 1 for m in ms]
+    coeffs = csc_series_oracle(n, (n - 1) // 2)
+    total = Fraction(0)
+    for k in range((n - 1) // 2 + 1):
+        e = n - 2 * k - 1
+        total += (-1) ** k * coeffs[k] * brute_vertex_sum(2 * p, counts, e, form) \
+            / math.factorial(e)
+    return total / (math.prod(counts) * 2 ** (n - 1 if form == "tau" else n))
+
+
 # hypothesis strategies ------------------------------------------------------
 
 centers = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -56,4 +123,16 @@ def component_lists(max_n: int = 6):
 
 def half_range_lists(max_n: int = 6, m_max: int = 4):
     return st.lists(st.integers(min_value=0, max_value=m_max),
+                    min_size=1, max_size=max_n)
+
+
+# generic doubles: no two sums of distinct subsets coincide, nothing merges
+generic_widths = st.floats(min_value=0.1, max_value=5.0).map(Fraction)
+generic_centers = st.floats(min_value=-5.0, max_value=5.0).map(Fraction)
+
+
+def mixed_component_lists(max_n: int = 6):
+    """Components whose widths mix 1/8-grid values, which merge, with generic doubles."""
+    return st.lists(st.tuples(st.one_of(centers, generic_centers),
+                              st.one_of(widths, generic_widths)),
                     min_size=1, max_size=max_n)

@@ -104,6 +104,21 @@ class TestPointCommands:
         assert code == 0
         assert float(out) == pytest.approx(0.5, abs=1e-11)
 
+    def test_negative_values_as_separate_tokens(self, capsys):
+        joined = run(capsys, "density", "--comp=-1:1/4", "--at=-9/8")
+        assert joined[0] == 0 and joined[1] == "-1.125\t2 = 2.000000\n"
+        for argv in (["density", "--comp", "-1:1/4", "--at", "-9/8"],
+                     ["density", "--comp", "-1:1/4", "--at=-9/8"],
+                     ["density", "--comp=-1:1/4", "--at", "-9/8"]):
+            assert run(capsys, *argv) == joined
+        joined = run(capsys, "density", "--comp=-1:1/4", "--at=-1/2")
+        assert run(capsys, "density", "--comp", "-1:1/4", "--at", "-1/2") == joined
+        assert joined[0] == 0
+        cdf = run(capsys, "cdf", "--comp", "-.5:1", "--from", "-1", "--to", "-1/2",
+                  "--step", "1/4", "--csv")
+        assert cdf[0] == 0 and cdf[1].splitlines()[1:] == [
+            "-1,0.25,1/4", "-0.75,0.375,3/8", "-0.5,0.5,1/2"]
+
     def test_pmf_plain_full_support(self, capsys):
         code, out, _ = run(capsys, "pmf", "--m", "1", "--m", "1")
         lines = out.strip().split("\n")

@@ -1,6 +1,5 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -16,14 +15,13 @@ from unisum import (
     CapacityError,
     ContinuousComponent,
     ContinuousSum,
+    DiscreteSum,
     EvalMode,
     EvalResult,
     ModeError,
     N_MAX,
-    SignVector,
     density_feller,
     density_olds,
-    iter_sign_vectors,
 )
 
 HALF = F(1, 2)
@@ -145,6 +143,14 @@ class TestQuantile:
     def test_endpoints_exact(self):
         assert TWO_MIXED.quantile(0) == -3.0
         assert TWO_MIXED.quantile(1) == 3.0
+
+    def test_upper_tail_brackets_exact_level(self):
+        s = ContinuousSum.from_pairs([(0, 1)] * 12)
+        q = 1 - F(1, 10 ** 12)
+        x = F(s.quantile(q))
+        lo, hi = s.support()
+        w = (hi - lo) * F(1, 2 ** 40)
+        assert s.cdf(x - w).value <= q <= s.cdf(x + w).value
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -305,37 +311,87 @@ class TestModesAndValidation:
             if exact and r.condition_estimate <= 1e6:
                 assert abs(F(r.value) - exact) / exact <= F(1, 10 ** 9)
 
-    def test_float_degrades_near_support_edge_and_is_flagged(self):
+    def test_float_is_correctly_rounded_near_support_edge(self):
+        # almost all 4096 vertex terms cancel here; float mode is the exact
+        # value rounded once, so the cancellation costs nothing
         s = ContinuousSum.from_pairs([(0, 1)] * 12)
-        r = s.density_tau(12.0 - 1e-6, FLOAT)
-        assert r.condition_estimate > 1e9
+        x = 12.0 - 1e-6
+        r = s.density_tau(x, FLOAT)
+        assert r.value == float(s.density_tau(x).value)
+        assert r.condition_estimate == 1.0
 
     def test_result_float_conversion(self):
         assert float(TWO_MIXED.density_tau(0)) == 0.25
 
 
-class TestSignVectors:
-    def test_parity_invariant(self):
-        for n in range(1, 7):
-            seen = set()
-            prev = None
-            for sv in iter_sign_vectors(n):
-                assert sv.parity == math.prod(sv.entries)
-                if prev is not None:
-                    flips = sum(a != b for a, b in zip(prev, sv.entries))
-                    assert flips == 1  # Gray order
-                prev = sv.entries
-                seen.add(sv.entries)
-            assert len(seen) == 2 ** n
+class TestFloatScale:
+    """Float mode is the exact value rounded once, at any scale."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SignVector((1, 0), 0)
-        with pytest.raises(ValueError):
-            SignVector((1, -1), 1)
-        sv = SignVector.from_entries([-1, -1, 1])
-        assert sv.parity == 1
-        assert sv.dot([1, 2, 3]) == 0
+    def test_feller_large_n(self):
+        assert density_feller(200, 1, 0, FLOAT) == float(density_feller(200, 1, 0))
+
+    def test_tiny_widths(self):
+        s = ContinuousSum.from_pairs([(0, 1e-20)] * 20)
+        for fn in (s.density_tau, s.cdf):
+            r = fn(0, FLOAT)
+            assert r.value == float(fn(0).value)
+            assert r.condition_estimate == 1.0
+
+    def test_huge_widths(self):
+        s = ContinuousSum.from_pairs([(0, 1e16)] * 24)
+        r = s.cdf(1.0, FLOAT)
+        assert r.value == float(s.cdf(1).value)
+        assert r.condition_estimate == 1.0
+
+    def test_out_of_range_values_are_flagged(self):
+        narrow = ContinuousSum.from_pairs([(0, F(1, 2 ** 1100))] * 2)
+        r = narrow.density_tau(0, FLOAT)  # 2^1099 is beyond the float range
+        assert r.value == float("inf") and r.condition_estimate == float("inf")
+        wide = ContinuousSum.from_pairs([(0, 2 ** 1049)] * 2)
+        r = wide.density_tau(0, FLOAT)  # 2^-1050 is subnormal
+        assert r.value == float(wide.density_tau(0).value) > 0
+        assert r.condition_estimate == float("inf")
+        wider = ContinuousSum.from_pairs([(0, 2 ** 1100)] * 2)
+        r = wider.density_tau(0, FLOAT)  # 2^-1101 rounds to 0
+        assert r.value == 0.0 and r.condition_estimate == float("inf")
+
+
+class TestBruteForceReference:
+    """Every closed form equals plain itertools.product vertex enumeration."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_all_closed_forms(self, data):
+        pairs = data.draw(helpers.mixed_component_lists(max_n=6), label="pairs")
+        s = ContinuousSum.from_pairs(pairs)
+        lo, hi = s.support()
+        on_kink = data.draw(st.sampled_from(s.breakpoints()), label="breakpoint")
+        off_kink = lo - 1 + (hi - lo + 2) * data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=97), label="t")
+        for x in (on_kink, off_kink):
+            for what in ("density_tau", "density_sign", "cdf"):
+                assert getattr(s, what)(x).value == \
+                    helpers.brute_continuous(pairs, x, what), (what, x)
+            assert s.cool_identity_residual(x) == \
+                helpers.brute_continuous(pairs, x, "cool_identity_residual") == 0
+
+        # the [0, a_j] and identical-component forms, on one of their own
+        # kinks (a subset sum of the a_j; (n - 2k) a) and off them
+        avec = [a for _, a in pairs]
+        n, a = len(avec), avec[0]
+        flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="subset")
+        olds_kink = sum(v for v, f in zip(avec, flags) if f)
+        feller_kink = (n - 2 * data.draw(st.integers(0, n), label="k")) * a
+        for x in (olds_kink, feller_kink, off_kink):
+            assert density_olds(avec, x) == helpers.brute_olds(avec, x)
+            assert density_feller(n, a, x) == \
+                helpers.brute_continuous([(0, a)] * n, x, "density_tau")
+
+        ms = data.draw(helpers.half_range_lists(max_n=6, m_max=5), label="ms")
+        d = DiscreteSum.from_half_ranges(ms)
+        p = data.draw(st.integers(min_value=-d.span - 1, max_value=d.span + 1), label="p")
+        assert d.pmf_tau(p) == helpers.brute_pmf(ms, p, "tau")
+        assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
 
 
 class TestBatch:

@@ -94,6 +94,15 @@ class TestPmfValues:
         d = DiscreteSum.from_half_ranges([1, 1, 1])
         assert d.pmf_tau(0) == F(7, 27) == discrete_conv_oracle(d)[0]
 
+    def test_non_integer_point_rejected(self):
+        d = DiscreteSum.from_half_ranges([1, 2])
+        for p in (2.5, F(5, 2), float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                d.pmf_tau(p)
+            with pytest.raises(ValueError):
+                d.pmf_sign(p)
+        assert d.pmf_tau(2.0) == d.pmf_tau(2) == d.pmf_tau(F(4, 2)) == F(2, 15)
+
 
 class TestPmfProperties:
     @given(helpers.half_range_lists(max_n=8, m_max=4),
