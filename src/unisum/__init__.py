@@ -21,7 +21,6 @@ from .discsum import (
     DiscreteComponent,
     DiscreteSum,
     csc_coefficient,
-    csc_coefficient_table,
     pmf_n2_closed,
 )
 from .errors import N_MAX, CapacityError, ModeError
@@ -40,7 +39,6 @@ __all__ = [
     "DiscreteComponent",
     "DiscreteSum",
     "csc_coefficient",
-    "csc_coefficient_table",
     "pmf_n2_closed",
     "CapacityError",
     "ModeError",

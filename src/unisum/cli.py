@@ -3,9 +3,11 @@
 Subcommands: density, cdf, quantile, pmf, table, coeffs, verify, sample.
 Continuous models are given as repeated `--comp c:a` pairs, discrete ones as
 repeated `--m k`; `--config FILE` reads the same data from a plain text file
-with one component per line (`c a`, or a single `m`).  Exact values print as
-`num/den` next to a decimal rendering; CDF tables use five decimals with
-round-half-even, and CSV output is byte-deterministic for a fixed job.
+with one component per line (`c a`, or a single `m`), validated like the
+flags.  Exact values print as `num/den` next to a decimal rendering; CDF
+tables use five decimals with round-half-even, and CSV output is
+byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
+full pmf support, may hold at most 10**6 points.
 """
 
 from __future__ import annotations
@@ -13,19 +15,18 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import discsum, oracles
-from .contsum import EXACT, FLOAT, ContinuousSum, EvalMode
+from .contsum import EXACT, ContinuousSum, EvalMode, EvalResult
 from .discsum import DiscreteSum
 from .errors import CapacityError, ModeError
 
-__all__ = ["JobSpec", "UsageError", "parse_args", "run_table", "run_verify",
-           "run_emit_csv", "main"]
+__all__ = ["JobSpec", "UsageError", "parse_args", "run_table", "run_verify", "main"]
 
 
 class UsageError(Exception):
@@ -58,10 +59,6 @@ def format_decimal(value) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text or "0"
-
-
-def _render_exact(v: Fraction) -> str:
-    return f"{v} = {format_fixed(v, 6)}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,21 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-_CONTINUOUS_COMMANDS = {"density", "cdf", "quantile", "table", "sample"}
+def _config_pair(text: str):
+    """A config line `c a`, validated like `--comp c:a`."""
+    tokens = text.split()
+    if len(tokens) != 2:
+        raise argparse.ArgumentTypeError(f"expected 'c a', got {text!r}")
+    return _comp_pair(":".join(tokens))
+
+
+# command -> (model flag, config line parser, model builder, JobSpec field)
+_CONTINUOUS = ("comp", _config_pair, ContinuousSum.from_pairs, "continuous")
+_MODELS = {
+    "density": _CONTINUOUS, "cdf": _CONTINUOUS, "quantile": _CONTINUOUS,
+    "table": _CONTINUOUS, "sample": _CONTINUOUS,
+    "pmf": ("m", _half_range, DiscreteSum.from_half_ranges, "discrete"),
+}
 
 
 def _build_parser() -> _Parser:
@@ -211,7 +222,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_integer, default=20000,
                    help="Monte Carlo sample size")
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--step", type=_positive_rational, default=Fraction(1, 256),
+    p.add_argument("--step", dest="grid_step", type=_positive_rational,
+                   default=Fraction(1, 256), metavar="STEP",
                    help="grid step for the convolution oracle")
     add_output_args(p)
 
@@ -224,7 +236,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str, continuous: bool):
+def _load_config(path: str, parse_line):
+    """One component per non-blank line (`#` starts a comment), via parse_line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -233,30 +246,11 @@ def _load_config(path: str, continuous: bool):
     items = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
-        if continuous:
-            if len(tokens) != 2:
-                raise UsageError(
-                    f"{path}:{lineno}: expected 'c a', got {text!r}")
+        if text:
             try:
-                c, a = Fraction(tokens[0]), Fraction(tokens[1])
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"{path}:{lineno}: not numbers: {text!r}")
-            if a <= 0:
-                raise UsageError(f"{path}:{lineno}: half-width must be > 0")
-            items.append((c, a))
-        else:
-            if len(tokens) != 1:
-                raise UsageError(f"{path}:{lineno}: expected one integer, got {text!r}")
-            try:
-                m = int(tokens[0])
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: not an integer: {text!r}")
-            if m < 0:
-                raise UsageError(f"{path}:{lineno}: m must be >= 0")
-            items.append(m)
+                items.append(parse_line(text))
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}")
     if not items:
         raise UsageError(f"config {path!r} defines no components")
     return items
@@ -292,30 +286,20 @@ def _attach_signed_values(argv: Sequence[str]) -> List[str]:
 def parse_args(argv: Sequence[str]) -> JobSpec:
     """Parse an argv list into a validated JobSpec; raises UsageError."""
     ns = _build_parser().parse_args(_attach_signed_values(argv))
-    spec = JobSpec(command=ns.command)
+    spec = JobSpec(**{f.name: getattr(ns, f.name) for f in fields(JobSpec)
+                      if hasattr(ns, f.name)})
 
-    if ns.command in _CONTINUOUS_COMMANDS:
-        pairs = list(ns.comp)
+    if ns.command in _MODELS:
+        flag, parse_line, build, model = _MODELS[ns.command]
+        items = getattr(ns, flag)
         if ns.config:
-            if pairs:
-                raise UsageError("give components via --comp or --config, not both")
-            pairs = _load_config(ns.config, continuous=True)
-        if not pairs:
-            raise UsageError(f"{ns.command} needs at least one --comp c:a")
+            if items:
+                raise UsageError(f"give components via --{flag} or --config, not both")
+            items = _load_config(ns.config, parse_line)
+        if not items:
+            raise UsageError(f"{ns.command} needs at least one --{flag}")
         try:
-            spec.continuous = ContinuousSum.from_pairs(pairs)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    elif ns.command == "pmf":
-        ms = list(ns.m)
-        if ns.config:
-            if ms:
-                raise UsageError("give components via --m or --config, not both")
-            ms = _load_config(ns.config, continuous=False)
-        if not ms:
-            raise UsageError("pmf needs at least one --m k")
-        try:
-            spec.discrete = DiscreteSum.from_half_ranges(ms)
+            setattr(spec, model, build(items))
         except ValueError as exc:
             raise UsageError(str(exc))
 
@@ -323,17 +307,6 @@ def parse_args(argv: Sequence[str]) -> JobSpec:
         spec.mode = EvalMode("float", report_condition=not ns.no_condition)
     elif getattr(ns, "no_condition", False):
         raise UsageError("--no-condition only applies to --float")
-
-    for name in ("at", "q", "lo", "hi", "step", "seed", "count", "csv", "out",
-                 "n_max", "k_max", "suite"):
-        if hasattr(ns, name):
-            setattr(spec, name, getattr(ns, name))
-    if ns.command == "verify":
-        spec.grid_step = ns.step
-        spec.step = None
-
-    if getattr(ns, "dump_config", None):
-        spec.dump_config = ns.dump_config
 
     if ns.command in ("density", "cdf"):
         has_range = ns.lo is not None and ns.hi is not None and ns.step is not None
@@ -354,78 +327,51 @@ def parse_args(argv: Sequence[str]) -> JobSpec:
 # Evaluation point grids
 # ---------------------------------------------------------------------------
 
-def _grid(spec: JobSpec) -> List[Fraction]:
-    if spec.at is not None:
-        return [Fraction(spec.at)]
-    lo, hi, step = spec.lo, spec.hi, spec.step
-    if lo is None or hi is None or step is None:
-        raise UsageError("need --at or a full --from/--to/--step range")
-    points = []
-    x = lo
-    while x <= hi:
-        points.append(x)
-        x += step
-    return points
+_GRID_MAX = 10 ** 6
+
+
+def _grid(lo, hi, step) -> list:
+    """lo, lo + step, ... up to hi (step > 0); at most _GRID_MAX points."""
+    count = (hi - lo) // step + 1
+    if count > _GRID_MAX:
+        raise CapacityError(f"a grid of {count} points exceeds the limit of {_GRID_MAX}")
+    return [lo + k * step for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
 
-def _eval_rows(spec: JobSpec):
-    """(x, EvalResult) pairs for a density or cdf job."""
-    fn = spec.continuous.density_tau if spec.command == "density" \
-        else spec.continuous.cdf
-    return [(x, fn(x, spec.mode)) for x in _grid(spec)]
-
-
-def run_emit_csv(spec: JobSpec) -> str:
-    """CSV for density/cdf (x,value[,condition] or x,value,exact) and pmf."""
-    lines = []
+def _run_points(spec: JobSpec) -> str:
+    """density, cdf or pmf at --at or over a grid: one text or CSV row per point."""
     if spec.command == "pmf":
-        lines.append("p,probability,exact")
         dsum = spec.discrete
-        points = [spec.at] if spec.at is not None else range(-dsum.span, dsum.span + 1)
-        for p in points:
-            v = dsum.pmf_tau(p)
-            lines.append(f"{p},{format_decimal(v)},{v}")
+        columns, lo, hi, step = ["p", "probability"], -dsum.span, dsum.span, 1
+
+        def evaluate(p):
+            return EvalResult(dsum.pmf_tau(p))
     else:
-        rows = _eval_rows(spec)
-        if spec.mode.is_exact:
-            lines.append("x,value,exact")
-            for x, r in rows:
-                lines.append(f"{format_decimal(x)},{format_decimal(r.value)},{r.value}")
-        elif spec.mode.report_condition:
-            lines.append("x,value,condition")
-            for x, r in rows:
-                lines.append(f"{format_decimal(x)},{r.value!r},{r.condition_estimate!r}")
+        fn = spec.continuous.density_tau if spec.command == "density" \
+            else spec.continuous.cdf
+        columns, lo, hi, step = ["x", "value"], spec.lo, spec.hi, spec.step
+
+        def evaluate(x):
+            return fn(x, spec.mode)
+    exact, condition = spec.mode.is_exact, spec.mode.report_condition
+    if exact or condition:
+        columns.append("exact" if exact else "condition")
+    lines = [",".join(columns)] if spec.csv else []
+    for x in [spec.at] if spec.at is not None else _grid(lo, hi, step):
+        r = evaluate(x)
+        if exact:
+            cells = [format_decimal(r.value), str(r.value)] if spec.csv \
+                else [f"{r.value} = {format_fixed(r.value, 6)}"]
         else:
-            lines.append("x,value")
-            for x, r in rows:
-                lines.append(f"{format_decimal(x)},{r.value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _run_point_eval(spec: JobSpec) -> str:
-    if spec.csv:
-        return run_emit_csv(spec)
-    lines = []
-    for x, r in _eval_rows(spec):
-        if spec.mode.is_exact:
-            lines.append(f"{format_decimal(x)}\t{_render_exact(r.value)}")
-        elif r.condition_estimate is not None:
-            lines.append(f"{format_decimal(x)}\t{r.value!r}\tcond={r.condition_estimate:.3g}")
-        else:
-            lines.append(f"{format_decimal(x)}\t{r.value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _run_pmf(spec: JobSpec) -> str:
-    if spec.csv:
-        return run_emit_csv(spec)
-    dsum = spec.discrete
-    points = [spec.at] if spec.at is not None else range(-dsum.span, dsum.span + 1)
-    lines = [f"{p}\t{_render_exact(dsum.pmf_tau(p))}" for p in points]
+            cells = [repr(r.value)]
+            if condition:
+                c = r.condition_estimate
+                cells.append(repr(c) if spec.csv else f"cond={c:.3g}")
+        lines.append(("," if spec.csv else "\t").join([format_decimal(x), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -437,12 +383,12 @@ def run_table(spec: JobSpec) -> str:
     """Five-decimal CDF table over the requested grid (default: the support)."""
     csum = spec.continuous
     lo, hi = csum.support()
-    if spec.lo is None:
-        spec.lo = lo
-    if spec.hi is None:
-        spec.hi = hi
-    if spec.step is None:
-        spec.step = Fraction(spec.hi - spec.lo, 10)
+    lo = lo if spec.lo is None else spec.lo
+    hi = hi if spec.hi is None else spec.hi
+    step = spec.step
+    if step is None:
+        # a tenth of the range; an empty or one-point range needs any step > 0
+        step = (hi - lo) / 10 if hi > lo else 1
     comps = ", ".join(f"(c={format_decimal(c.center)}, a={format_decimal(c.half_width)})"
                       for c in csum.components)
     head = [
@@ -451,7 +397,7 @@ def run_table(spec: JobSpec) -> str:
         f"# mode: {spec.mode.kind}",
     ]
     rows = []
-    for x in _grid(spec):
+    for x in [spec.at] if spec.at is not None else _grid(lo, hi, step):
         r = csum.cdf(x, spec.mode)
         rows.append((format_decimal(x), format_fixed(r.value, 5)))
     if spec.csv:
@@ -463,18 +409,12 @@ def run_table(spec: JobSpec) -> str:
 
 
 def _run_coeffs(spec: JobSpec) -> str:
-    lines = []
-    if spec.csv:
-        lines.append("n,k,value,exact")
-        for n in range(1, spec.n_max + 1):
-            for k in range(spec.k_max + 1):
-                b = discsum.csc_coefficient(n, k)
-                lines.append(f"{n},{k},{format_decimal(b)},{b}")
-    else:
-        for n in range(1, spec.n_max + 1):
-            for k in range(spec.k_max + 1):
-                b = discsum.csc_coefficient(n, k)
-                lines.append(f"b(n={n}, k={k}) = {b}")
+    lines = ["n,k,value,exact"] if spec.csv else []
+    for n in range(1, spec.n_max + 1):
+        for k in range(spec.k_max + 1):
+            b = discsum.csc_coefficient(n, k)
+            lines.append(f"{n},{k},{format_decimal(b)},{b}" if spec.csv
+                         else f"b(n={n}, k={k}) = {b}")
     return "\n".join(lines) + "\n"
 
 
@@ -580,10 +520,10 @@ def run_verify(spec: JobSpec):
 # ---------------------------------------------------------------------------
 
 _RUNNERS = {
-    "density": _run_point_eval,
-    "cdf": _run_point_eval,
+    "density": _run_points,
+    "cdf": _run_points,
     "quantile": _run_quantile,
-    "pmf": _run_pmf,
+    "pmf": _run_points,
     "table": run_table,
     "coeffs": _run_coeffs,
     "sample": _run_sample,

@@ -280,8 +280,8 @@ class ContinuousSum:
             raise ValueError("a sum needs at least one component")
         if len(comps) > N_MAX:
             raise CapacityError(
-                f"{len(comps)} components would need 2**{len(comps)} vertex terms "
-                f"(limit N_MAX={N_MAX}); for identical components use density_feller"
+                f"{len(comps)} components would need up to 2**{len(comps)} vertex "
+                f"terms (limit N_MAX={N_MAX}); for identical components use density_feller"
             )
 
     @classmethod
@@ -415,21 +415,33 @@ class ContinuousSum:
     # those uses.  Memory is O(measure size); intended for moderate n.
 
     @cached_property
+    def _unit(self) -> Fraction:
+        """A power of two near the widest half-width: the batch paths' length unit.
+
+        Working in this unit keeps the float arguments and the norm near 1
+        at any scale of the widths (1e-20 or 1e16 alike).
+        """
+        widest = max(c.half_width for c in self.components)
+        return Fraction(2) ** (widest.numerator.bit_length()
+                               - widest.denominator.bit_length())
+
+    @cached_property
     def _vertex_table(self):
-        """Float offsets key / den - _hi and weights of the vertex measure."""
+        """Float offsets (key / den - _hi) / _unit and weights of the vertex measure."""
         keys, weights, den = self._measure
         scale = math.lcm(den, self._hi.denominator)
         shift = self._hi.numerator * (scale // self._hi.denominator)
-        offs = np.array([(k * (scale // den) - shift) / scale for k in keys])
+        num, dnm = self._unit.denominator, scale * self._unit.numerator
+        offs = np.array([(k * (scale // den) - shift) * num / dnm for k in keys])
         return offs, np.array(weights, dtype=float)
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        flat = np.atleast_1d(xs).ravel()
+        flat = np.atleast_1d(xs).ravel() / float(self._unit)
         offs, signs = self._vertex_table
         out = np.empty(flat.shape)
         chunk = max(1, (1 << 22) // len(offs))
-        norm = float(self._norm(exponent))
+        norm = float(self._norm(exponent) / self._unit ** exponent)
         for i in range(0, len(flat), chunk):
             args = flat[i:i + chunk, None] + offs[None, :]
             if exponent == 0:
@@ -503,7 +515,7 @@ def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
     n = len(avec)
     if n > N_MAX:
         raise CapacityError(
-            f"{n} components would need 2**{n} subset terms (limit N_MAX={N_MAX})"
+            f"{n} components would need up to 2**{n} subset terms (limit N_MAX={N_MAX})"
         )
     # adding element j to the subset subtracts a_j from the argument
     raw = _vertex_sum(_vertex_measure([-v for v in avec], 1), _point(x, mode),

@@ -35,7 +35,6 @@ __all__ = [
     "DiscreteComponent",
     "DiscreteSum",
     "csc_coefficient",
-    "csc_coefficient_table",
     "pmf_n2_closed",
 ]
 
@@ -76,12 +75,6 @@ def csc_coefficient(n: int, k: int) -> Fraction:
     return _csc_coefficient(n, k)
 
 
-def csc_coefficient_table(n_max: int, k_max: int) -> Dict[tuple, Fraction]:
-    """Materialize {(n, k): B(n, k)} for 1 <= n <= n_max, 0 <= k <= k_max."""
-    return {(n, k): csc_coefficient(n, k)
-            for n in range(1, n_max + 1) for k in range(k_max + 1)}
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -119,8 +112,8 @@ class DiscreteSum:
             raise ValueError("a sum needs at least one component")
         if len(comps) > N_MAX:
             raise CapacityError(
-                f"{len(comps)} components would need 2**{len(comps)} vertex terms "
-                f"(limit N_MAX={N_MAX})"
+                f"{len(comps)} components would need up to 2**{len(comps)} vertex "
+                f"terms (limit N_MAX={N_MAX})"
             )
 
     @classmethod

@@ -1,8 +1,8 @@
-"""Shared exception types and the global vertex-enumeration capacity limit."""
+"""Shared exception types and the global capacity limit on the number of summands."""
 
-# Hard cap on the number of summands for any operation that enumerates all
-# 2**n sign vectors.  2**24 terms is the largest sum that is still reasonable
-# to evaluate on a desktop; beyond that the closed form is the wrong tool.
+# Hard cap on the number of summands of a model.  Its vertex measure has up to
+# 2**n entries when no widths merge; 2**24 is the largest still reasonable to
+# build on a desktop, and beyond that the closed form is the wrong tool.
 N_MAX = 24
 
 

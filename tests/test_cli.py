@@ -1,18 +1,17 @@
 """End-to-end tests of the command line front end."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from unisum import ContinuousSum, DiscreteSum, discsum
 from unisum.cli import (
-    JobSpec,
     UsageError,
     format_decimal,
     format_fixed,
     main,
     parse_args,
-    run_emit_csv,
     run_table,
     run_verify,
 )
@@ -167,10 +166,16 @@ class TestCsv:
                         "--float", "--no-condition", "--csv")
         assert out.splitlines()[0] == "x,value"
 
-    def test_run_emit_csv_direct(self):
-        spec = parse_args(["pmf", "--m", "1", "--csv"])
-        text = run_emit_csv(spec)
-        assert text == "p,probability,exact\n-1,0.333333,1/3\n0,0.333333,1/3\n1,0.333333,1/3\n"
+    def test_pmf_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "pmf", "--m", "1", "--csv")
+        assert code == 0
+        assert out == "p,probability,exact\n-1,0.333333,1/3\n0,0.333333,1/3\n1,0.333333,1/3\n"
+
+    def test_grid_is_capped(self, capsys):
+        code, out, err = run(capsys, "density", "--comp", "0:1", "--from", "0",
+                             "--to", "1", "--step", "1/10000000")
+        assert code == 1 and out == ""
+        assert "10000001 points" in err
 
 
 class TestTable:
@@ -189,6 +194,11 @@ class TestTable:
         assert rows[0].split()[-1] == "0.00000"
         assert rows[-1].split()[-1] == "1.00000"
         assert len(rows) == 11
+
+    def test_one_point_range(self, capsys):
+        _, out, _ = run(capsys, "table", "--comp", "0:1", "--from", "1/2", "--to", "1/2",
+                        "--csv")
+        assert out.splitlines()[-2:] == ["x,F", "0.5,0.75000"]
 
     def test_csv_table(self, capsys):
         _, out, _ = run(capsys, "table", "--comp", "0:1", "--csv",
@@ -234,6 +244,23 @@ class TestConfigRoundTrip:
         with pytest.raises(UsageError, match="not both"):
             parse_args(["density", "--comp", "0:1", "--config", str(path),
                         "--at", "0"])
+
+    @pytest.mark.parametrize("command, flag, token, line", [
+        ("density", "--comp", "0:-1", "0 -1"),
+        ("density", "--comp", "0:x", "0 x"),
+        ("density", "--comp", "1/0:1", "1/0 1"),
+        ("pmf", "--m", "-1", "-1"),
+        ("pmf", "--m", "1.5", "1.5"),
+        ("pmf", "--m", "x", "x"),
+    ])
+    def test_config_lines_validated_like_flags(self, tmp_path, command, flag,
+                                               token, line):
+        with pytest.raises(UsageError):
+            parse_args([command, f"{flag}={token}", "--at", "0"])
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# model\n{'0 1' if flag == '--comp' else '1'}\n{line}\n")
+        with pytest.raises(UsageError, match="^" + re.escape(f"{path}:3: ")):
+            parse_args([command, "--config", str(path), "--at", "0"])
 
 
 class TestOutFile:

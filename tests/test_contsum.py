@@ -355,6 +355,16 @@ class TestFloatScale:
         r = wider.density_tau(0, FLOAT)  # 2^-1101 rounds to 0
         assert r.value == 0.0 and r.condition_estimate == float("inf")
 
+    @pytest.mark.parametrize("n, a, xs", [(20, 1e-20, [0.0, 1e-20, -3e-20]),
+                                          (24, 1e16, [1.0, 1e16, -2e16])])
+    def test_batch_paths_at_extreme_widths(self, n, a, xs):
+        s = ContinuousSum.from_pairs([(0, a)] * n)
+        for batch, scalar in ((s.density_batch, s.density_tau), (s.cdf_batch, s.cdf)):
+            got = batch(xs)
+            assert np.all(np.isfinite(got))
+            want = [scalar(x, FLOAT).value for x in xs]
+            assert got == pytest.approx(want, rel=1e-9)
+
 
 class TestBruteForceReference:
     """Every closed form equals plain itertools.product vertex enumeration."""

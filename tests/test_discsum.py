@@ -14,7 +14,6 @@ from unisum import (
     DiscreteSum,
     N_MAX,
     csc_coefficient,
-    csc_coefficient_table,
     pmf_n2_closed,
 )
 from unisum.oracles import csc_series_oracle, discrete_conv_oracle
@@ -36,11 +35,6 @@ class TestCscCoefficient:
             oracle = csc_series_oracle(n, 4)
             for k in range(5):
                 assert csc_coefficient(n, k) == oracle[k]
-
-    def test_table(self):
-        table = csc_coefficient_table(3, 2)
-        assert len(table) == 9
-        assert table[(3, 1)] == csc_coefficient(3, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
