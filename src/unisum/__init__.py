@@ -23,7 +23,7 @@ from .discsum import (
     csc_coefficient,
     pmf_n2_closed,
 )
-from .errors import N_MAX, CapacityError, ModeError
+from .errors import MEASURE_MAX, CapacityError, ModeError
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "pmf_n2_closed",
     "CapacityError",
     "ModeError",
-    "N_MAX",
+    "MEASURE_MAX",
     "__version__",
 ]

@@ -7,7 +7,8 @@ with one component per line (`c a`, or a single `m`), validated like the
 flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
-full pmf support, may hold at most 10**6 points.
+full pmf support, may hold at most 10**6 points; a model over the vertex
+measure budget (MEASURE_MAX) fails at its first point.  Both exit with 1.
 """
 
 from __future__ import annotations
@@ -256,6 +257,15 @@ def _load_config(path: str, parse_line):
     return items
 
 
+def _write(path: str, text: str):
+    """Write text to path; a failure raises ValueError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _dump_config(path: str, spec: JobSpec):
     lines = []
     if spec.continuous is not None:
@@ -264,8 +274,7 @@ def _dump_config(path: str, spec: JobSpec):
     elif spec.discrete is not None:
         for comp in spec.discrete.components:
             lines.append(str(comp.m))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # options whose value may start with "-", such as `--comp -1:1/4` or `--at -1/2`
@@ -298,10 +307,7 @@ def parse_args(argv: Sequence[str]) -> JobSpec:
             items = _load_config(ns.config, parse_line)
         if not items:
             raise UsageError(f"{ns.command} needs at least one --{flag}")
-        try:
-            setattr(spec, model, build(items))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        setattr(spec, model, build(items))
 
     if getattr(ns, "float_", False):
         spec.mode = EvalMode("float", report_condition=not ns.no_condition)
@@ -548,18 +554,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             text = _RUNNERS[spec.command](spec)
             status = 0
+        if spec.out:
+            _write(spec.out, text)
     except (CapacityError, ModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if spec.out:
-        try:
-            with open(spec.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {spec.out!r}: {exc}", file=sys.stderr)
-            return 1
-    else:
+    if not spec.out:
         sys.stdout.write(text)
     return status
 

@@ -38,9 +38,12 @@ Two evaluation modes are provided:
   double (or the exact value is 0) and inf when a nonzero value underflows
   or overflows.
 
-The measure has up to 2^n entries when no widths are commensurate.  Sums
-with more than N_MAX = 24 components are rejected; for identical components
-use density_feller, which needs only n + 1 entries.
+The measure has up to 2^n entries when no widths are commensurate.  Its
+size is bounded before it is built, and a model whose bound exceeds
+MEASURE_MAX = 2**20 entries raises CapacityError at its first vertex sum;
+that is the only capacity rule, so 100 identical components (101 entries)
+are fine while 21 generic ones are refused.  support, moments and sampling
+never build the measure and work at any n.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +59,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ModeError, N_MAX
+from .errors import MEASURE_MAX, CapacityError, ModeError
 
 __all__ = [
     "ContinuousComponent",
@@ -160,18 +164,18 @@ def _point(x, mode: EvalMode) -> Fraction:
     """The evaluation point as a rational; float mode first rounds it to a double."""
     if mode.is_exact:
         return _as_fraction(x, "x")
-    xv = float(x)
+    xv = _rounded(x)
     if not math.isfinite(xv):
-        raise ValueError(f"x must be finite, got {x!r}")
+        raise ValueError(f"x must round to a finite double in float mode, got {xv}")
     return Fraction(xv)
 
 
-def _rounded(exact: Fraction) -> float:
-    """exact rounded once to the nearest double; +-inf beyond the float range."""
+def _rounded(value) -> float:
+    """value rounded once to the nearest double; +-inf beyond the float range."""
     try:
-        return float(exact)
+        return float(value)
     except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 def _result(exact: Fraction, mode: EvalMode) -> EvalResult:
@@ -193,22 +197,34 @@ _SIGN = 1
 _RAW = 2
 
 
-def _vertex_measure(legs: Sequence, parity: int) -> tuple:
-    """The coefficients of parity * prod_j (1 - z^legs[j]), as (keys, weights, den).
+def _vertex_measure(legs: Sequence, sign: int) -> tuple:
+    """The coefficients of prod_j (z^legs[j] + sign), as (keys, weights, den).
 
-    The legs are rationals (or ints) over the common denominator den; keys
-    are the sorted integer exponents times den with nonzero weight, and
-    weights the matching integer coefficients.  Key k stands for every flag
-    vector whose set legs sum to k / den, weighted by parity * (-1)^(flags
-    set).
+    The legs are positive rationals (or ints) over the common denominator
+    den; keys are the sorted integer exponents times den with nonzero weight,
+    and weights the matching integer coefficients.  With sign = -1, key k
+    stands for every flag vector whose set legs sum to k / den, weighted by
+    (-1)^(flags not set); with sign = +1 nothing cancels and the keys are
+    all the subset sums.
+
+    The only capacity check of the vertex sums: every intermediate dict and
+    the result hold at most min(prod over distinct steps of (multiplicity +
+    1), sum of steps + 1) entries, and a bound above MEASURE_MAX raises
+    CapacityError before any entry is built.
     """
     den = math.lcm(*(leg.denominator for leg in legs))
-    weight = {0: parity}
-    for leg in legs:
-        step = leg.numerator * (den // leg.denominator)
+    steps = [leg.numerator * (den // leg.denominator) for leg in legs]
+    bound = min(math.prod(m + 1 for m in Counter(steps).values()), sum(steps) + 1)
+    if bound > MEASURE_MAX:
+        raise CapacityError(
+            f"{len(steps)} components need a vertex measure of up to {bound} "
+            f"entries (limit MEASURE_MAX = {MEASURE_MAX})")
+    # prod_j (z^s_j + sign) = sign^n prod_j (1 + sign z^s_j) for sign = +-1
+    weight = {0: sign ** len(steps)}
+    for step in steps:
         merged = dict(weight)
         for k, w in weight.items():
-            merged[k + step] = merged.get(k + step, 0) - w
+            merged[k + step] = merged.get(k + step, 0) + sign * w
         weight = {k: w for k, w in merged.items() if w}
     keys = tuple(sorted(weight))
     return keys, tuple(weight[k] for k in keys), den
@@ -278,11 +294,6 @@ class ContinuousSum:
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
-        if len(comps) > N_MAX:
-            raise CapacityError(
-                f"{len(comps)} components would need up to 2**{len(comps)} vertex "
-                f"terms (limit N_MAX={N_MAX}); for identical components use density_feller"
-            )
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "ContinuousSum":
@@ -305,9 +316,8 @@ class ContinuousSum:
 
     @cached_property
     def _measure(self) -> tuple:
-        """Vertex measure in arguments x - _hi + key / den: legs 2 a_j, parity (-1)^n."""
-        return _vertex_measure([2 * c.half_width for c in self.components],
-                               -1 if self.n % 2 else 1)
+        """Vertex measure in arguments x - _hi + key / den: legs 2 a_j."""
+        return _vertex_measure([2 * c.half_width for c in self.components], -1)
 
     @cached_property
     def _width_product(self) -> Fraction:
@@ -330,11 +340,12 @@ class ContinuousSum:
         return (mean, var)
 
     def breakpoints(self) -> list:
-        """Sorted distinct kink locations of the density (2^n subset sums)."""
-        pts = {sum(c.center for c in self.components)}
-        for c in self.components:
-            pts = {p + s * c.half_width for p in pts for s in (-1, 1)}
-        return sorted(pts)
+        """Sorted distinct kink locations of the density: lo plus each subset sum of the legs.
+
+        Up to 2^n points, refused with CapacityError over the vertex measure budget.
+        """
+        keys, _, den = _vertex_measure([2 * c.half_width for c in self.components], 1)
+        return [self._lo + Fraction(k, den) for k in keys]
 
     # -- pointwise evaluation ---------------------------------------------
 
@@ -473,27 +484,18 @@ class ContinuousSum:
 # ---------------------------------------------------------------------------
 
 def density_feller(n: int, a, x, mode: EvalMode = EXACT):
-    """Density of n identical uniforms on [-a, a] in n + 1 terms.
+    """Density of n identical uniforms on [-a, a].
 
     Collapsing the vertex sum by the number of negative signs gives
 
         f_n(x) = sum_{k=0}^{n} (-1)^k C(n, k) (x + (n-2k) a)_+^(n-1)
                  / ((n-1)! (2a)^n),
 
-    which is the vertex measure of n equal legs 2a.  Agrees exactly with
-    density_tau on the equivalent n-component sum, with no capacity limit.
-    Returns a Fraction in exact mode, the exact value rounded to a float
-    otherwise.
+    which is what density_tau evaluates on the n-component sum: its vertex
+    measure merges the equal legs 2a into these n + 1 entries.  Returns a
+    Fraction in exact mode, the exact value rounded to a float otherwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    af = _as_fraction(a, "a")
-    if af <= 0:
-        raise ValueError(f"a must be > 0, got {a!r}")
-    raw = _vertex_sum(_vertex_measure([2 * af] * n, -1 if n % 2 else 1),
-                      _point(x, mode) - n * af, n - 1, _TAU)
-    value = raw / (math.factorial(n - 1) * (2 * af) ** n)
-    return value if mode.is_exact else _rounded(value)
+    return ContinuousSum.from_pairs([(0, a)] * n).density_tau(x, mode).value
 
 
 def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
@@ -502,23 +504,11 @@ def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
     f_n(x) = sum over subsets S of {1..n} of (-1)^|S| (x - sum_{j in S} a_j)_+^(n-1)
              / ((n-1)! prod_j a_j).
 
-    Equals density_tau on the shifted model (c_j = a_j / 2, half-width
+    This is density_tau on the shifted model (c_j = a_j / 2, half-width
     a_j / 2); with the midpoint step convention the two agree at every x,
-    including the jump points of the n = 1 case.  Returns a Fraction in
+    including the jump points of the n = 1 case.  Equal lengths merge, so
+    n equal ones take n + 1 vertex measure entries.  Returns a Fraction in
     exact mode, the exact value rounded to a float otherwise.
     """
-    avec = [_as_fraction(v, "a_j") for v in a]
-    if not avec:
-        raise ValueError("need at least one interval length")
-    if any(v <= 0 for v in avec):
-        raise ValueError("all interval lengths must be > 0")
-    n = len(avec)
-    if n > N_MAX:
-        raise CapacityError(
-            f"{n} components would need up to 2**{n} subset terms (limit N_MAX={N_MAX})"
-        )
-    # adding element j to the subset subtracts a_j from the argument
-    raw = _vertex_sum(_vertex_measure([-v for v in avec], 1), _point(x, mode),
-                      n - 1, _TAU)
-    value = raw / (math.factorial(n - 1) * math.prod(avec))
-    return value if mode.is_exact else _rounded(value)
+    halves = [_as_fraction(v, "a_j") / 2 for v in a]
+    return ContinuousSum.from_pairs([(h, h) for h in halves]).density_tau(x, mode).value

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 from typing import Dict, Iterable
 
 from .contsum import _SIGN, _TAU, _vertex_measure, _vertex_sum
-from .errors import CapacityError, N_MAX
 
 __all__ = [
     "DiscreteComponent",
@@ -110,11 +109,6 @@ class DiscreteSum:
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
-        if len(comps) > N_MAX:
-            raise CapacityError(
-                f"{len(comps)} components would need up to 2**{len(comps)} vertex "
-                f"terms (limit N_MAX={N_MAX})"
-            )
 
     @classmethod
     def from_half_ranges(cls, ms: Iterable[int]) -> "DiscreteSum":
@@ -140,8 +134,7 @@ class DiscreteSum:
     @cached_property
     def _measure(self) -> tuple:
         """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1)."""
-        return _vertex_measure([2 * c.count for c in self.components],
-                               -1 if self.n % 2 else 1)
+        return _vertex_measure([2 * c.count for c in self.components], -1)
 
     def _pmf(self, p, form: int, pow2: int) -> Fraction:
         """The outer Laurent sum over k of the vertex sums with exponent n-2k-1.

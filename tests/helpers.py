@@ -3,11 +3,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from unisum import ContinuousSum, DiscreteSum
+from unisum import CapacityError, ContinuousSum, DiscreteSum
 from unisum.oracles import csc_series_oracle
 
 
@@ -43,6 +45,40 @@ def discrete_panel(seed: int, size: int, n_max: int = 6, m_max: int = 5):
         panel.append(DiscreteSum.from_half_ranges(
             [rng.randint(0, m_max) for _ in range(n)]))
     return panel
+
+
+# the vertex measure budget ---------------------------------------------------
+
+# 21 distinct power-of-two legs: every subset sum differs, 2**21 entries
+POW2_21 = [2 ** k for k in range(21)]
+
+
+def assert_refused_unbuilt(call, bound: int):
+    """call() raises CapacityError naming bound, having allocated under 1 MB:
+    the budget refuses the model before any measure entry is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"up to {bound} entries"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def central_trinomial(n: int) -> int:
+    """Coefficient of x^0 in (1/x + 1 + x)^n."""
+    return sum(math.comb(n, k) * math.comb(n - k, k) for k in range(n // 2 + 1))
+
+
+def assert_identical_components_work():
+    """100 identical uniforms and 30 identical integer uniforms, beyond any cap
+    on n, merge into n + 1 measure entries and evaluate exactly."""
+    hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
+    assert hundred.cdf(0).value == Fraction(1, 2) and hundred.cdf(100).value == 1
+    thirty = DiscreteSum.from_half_ranges([1] * 30)
+    assert sum(thirty.pmf_full().values()) == 1
+    assert thirty.pmf_tau(0) == Fraction(central_trinomial(30), 3 ** 30)
 
 
 # brute-force vertex enumeration ---------------------------------------------

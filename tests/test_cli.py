@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from unisum import ContinuousSum, DiscreteSum, discsum
 from unisum.cli import (
     UsageError,
@@ -124,12 +125,23 @@ class TestPointCommands:
         assert len(lines) == 5
         assert lines[2] == "0\t1/3 = 0.333333"
 
-    def test_exceeding_capacity_is_usage_error(self, capsys):
+    def test_exceeding_capacity_exits_1(self, capsys):
         argv = ["density", "--at", "0"]
-        for _ in range(25):
-            argv += ["--comp", "0:1"]
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "density_feller" in err
+        for a in helpers.POW2_21:
+            argv += ["--comp", f"0:{a}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"up to {2 ** 21} entries" in err
+        code, out, _ = run(capsys, "cdf", "--at", "0", *["--comp", "0:1"] * 100)
+        assert code == 0 and out == "0\t1/2 = 0.500000\n"
+        code, out, _ = run(capsys, "pmf", "--at", "0", *["--m", "1"] * 30)
+        assert code == 0 and out.startswith(
+            f"0\t{F(helpers.central_trinomial(30), 3 ** 30)} = ")
+
+    @pytest.mark.parametrize("command", ["density", "cdf"])
+    def test_point_beyond_float_range(self, capsys, command):
+        code, out, err = run(capsys, command, "--comp", "0:1", "--at", "1e400", "--float")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestCsv:
@@ -275,6 +287,11 @@ class TestOutFile:
     def test_unwritable_out(self, tmp_path, capsys):
         code, _, err = run(capsys, "pmf", "--m", "1", "--out", str(tmp_path))
         assert code == 1 and "cannot write" in err
+
+    def test_unwritable_dump_config(self, tmp_path, capsys):
+        code, out, err = run(capsys, "density", "--comp", "0:1", "--at", "0",
+                             "--dump-config", str(tmp_path))
+        assert code == 1 and out == "" and err.startswith("error: cannot write")
 
 
 class TestSample:

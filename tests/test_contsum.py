@@ -12,14 +12,12 @@ import helpers
 from unisum import (
     EXACT,
     FLOAT,
-    CapacityError,
     ContinuousComponent,
     ContinuousSum,
     DiscreteSum,
     EvalMode,
     EvalResult,
     ModeError,
-    N_MAX,
     density_feller,
     density_olds,
 )
@@ -221,8 +219,14 @@ class TestSpecialCases:
             density_olds([], 0)
         with pytest.raises(ValueError):
             density_olds([1, -1], 0)
-        with pytest.raises(CapacityError):
-            density_olds([1] * (N_MAX + 1), 0)
+
+    def test_measure_budget(self):
+        helpers.assert_refused_unbuilt(lambda: density_olds(helpers.POW2_21, 0), 2 ** 21)
+        helpers.assert_identical_components_work()
+        # the centre of 100 x U[0, 2] is the centre of 100 x U[-1, 1]
+        hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
+        assert density_olds([2] * 100, 100) == density_feller(100, 1, 0) \
+            == hundred.density_tau(0).value > 0
 
 
 class TestVanishingIdentity:
@@ -274,9 +278,17 @@ class TestModesAndValidation:
             ContinuousSum(())
 
     def test_capacity(self):
-        with pytest.raises(CapacityError, match="density_feller"):
-            ContinuousSum.from_pairs([(0, 1)] * (N_MAX + 1))
-        assert ContinuousSum.from_pairs([(0, 1)] * N_MAX).n == N_MAX
+        pow2 = ContinuousSum.from_pairs([(0, a) for a in helpers.POW2_21])
+        for call in (lambda: pow2.density_tau(0), pow2.breakpoints):
+            helpers.assert_refused_unbuilt(call, 2 ** 21)
+        assert pow2.support() == (-(2 ** 21 - 1), 2 ** 21 - 1)
+        rng = random.Random(24)
+        generic = ContinuousSum.from_pairs([(0, rng.uniform(0.25, 2)) for _ in range(24)])
+        helpers.assert_refused_unbuilt(lambda: generic.cdf(0), 2 ** 24)
+        helpers.assert_identical_components_work()
+        hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
+        assert hundred.moments() == (0, F(100, 3))
+        assert len(hundred._measure[0]) == 101
 
     def test_exact_mode_rejects_non_finite(self):
         with pytest.raises(ModeError):
@@ -285,6 +297,9 @@ class TestModesAndValidation:
             UNIT_BOX.cdf(float("inf"))
         with pytest.raises(ValueError):
             UNIT_BOX.density_tau(float("nan"), FLOAT)
+        for fn in (UNIT_BOX.density_tau, UNIT_BOX.cdf):
+            with pytest.raises(ValueError, match="finite double"):
+                fn(F(10) ** 400, FLOAT)  # beyond the float range, not an OverflowError
 
     def test_component_rejects_non_finite(self):
         with pytest.raises(ModeError):
@@ -402,6 +417,29 @@ class TestBruteForceReference:
         p = data.draw(st.integers(min_value=-d.span - 1, max_value=d.span + 1), label="p")
         assert d.pmf_tau(p) == helpers.brute_pmf(ms, p, "tau")
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
+
+
+class TestScaleAndShift:
+    """Y = 2**e S + offset, with e = +-60 and offsets far beyond the support."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_covariance_at_extreme_scales(self, data):
+        pairs = data.draw(helpers.component_lists(max_n=5), label="pairs")
+        scale = F(2) ** data.draw(st.sampled_from([-60, 60]), label="e")
+        shift = data.draw(st.integers(-2 ** 40, 2 ** 40), label="shift") * scale
+        s = ContinuousSum.from_pairs(pairs)
+        t = ContinuousSum.from_pairs([(scale * c + (shift if j == 0 else 0), scale * a)
+                                      for j, (c, a) in enumerate(pairs)])
+        lo, hi = s.support()
+        x = lo - 1 + (hi - lo + 2) * data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=97), label="t")
+        y = scale * x + shift
+        assert t.density_tau(y).value == s.density_tau(x).value / scale
+        assert t.cdf(y).value == s.cdf(x).value
+        yf = float(y)
+        for fn in (t.density_tau, t.cdf):
+            assert fn(yf, FLOAT).value == float(fn(F(yf)).value)
 
 
 class TestBatch:

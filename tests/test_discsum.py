@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 import helpers
 from unisum import (
-    CapacityError,
     DiscreteComponent,
     DiscreteSum,
-    N_MAX,
     csc_coefficient,
     pmf_n2_closed,
 )
@@ -190,5 +188,8 @@ class TestModel:
             DiscreteComponent(True)
         with pytest.raises(ValueError):
             DiscreteSum(())
-        with pytest.raises(CapacityError):
-            DiscreteSum.from_half_ranges([1] * (N_MAX + 1))
+
+    def test_measure_budget(self):
+        pow2 = DiscreteSum.from_half_ranges(helpers.POW2_21)
+        helpers.assert_refused_unbuilt(lambda: pow2.pmf_tau(0), 2 ** 21)
+        helpers.assert_identical_components_work()
