@@ -7,8 +7,9 @@ with one component per line (`c a`, or a single `m`), validated like the
 flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
-full pmf support, may hold at most 10**6 points; a model over the vertex
-measure budget (MEASURE_MAX) fails at its first point.  Both exit with 1.
+full pmf support, may hold at most 10**6 points; a model whose vertex sums
+would build more than MEASURE_MAX measure and moment-table entries (from
+30 generic widths on) fails at its first point.  Both exit with 1.
 """
 
 from __future__ import annotations

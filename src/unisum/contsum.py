@@ -22,12 +22,37 @@ midpoint value, e.g. 1/(4a) at the edges of a single uniform.
 The vertices enter the sum only through their arguments.  Writing the
 argument of a vertex as x - sum_j (c_j + a_j) plus the legs 2 a_j of the
 components whose sign is +1, the parity weights of all vertices with the
-same argument add up to one coefficient of prod_j (1 - z^(2 a_j)), the
+same argument add up to one coefficient of prod_j (z^(2 a_j) - 1), the
 box-spline view of de Boor, Hollig and Riemenschneider (Box Splines, 1993).
-Each model builds that merged signed vertex measure once, equal arguments
-merged and zero weights dropped, and every closed form in the package is one
-call of _vertex_sum over it.  Equal or commensurate widths merge: n
-identical components leave n + 1 entries instead of 2^n.
+Each model holds that merged signed vertex measure as a VertexMeasure, and
+every closed form in the package is one call of VertexMeasure.sum over it.
+The measure factors as A (x) B for any split of the legs into two groups,
+and the sum runs over A only, against suffix moments of B (powers of B's
+keys summed from each position on, cached up to the model's top exponent)
+that one bisection per entry of A locates.  Three splits are used:
+
+* Direct loop (B trivial): one power per entry of the whole merged measure,
+  nothing built but the measure.  It answers the first points of models
+  whose widths are commensurate, and every point of models whose table
+  would answer no faster, such as n identical components (n + 1 entries,
+  and exponents up to n).
+* Meet in the middle (Horowitz and Sahni, 1974): the distinct legs split
+  into two halves whose merged sizes balance, the smaller one summed over,
+  the larger one tabulated.  It answers generic widths, whose 2^n vertices
+  never merge; the halves hold about 2^(n/2) entries each, and the full
+  measure is never formed.
+* Moment table (A trivial): the whole merged measure with its moments, one
+  bisection and O(e) integer operations per point.  It answers models that
+  have been asked enough points to pay for it, such as the commensurate
+  widths of a tabulation (widths on a 1/8 grid leave far fewer than 2^n
+  entries).
+
+The choice counts terms (an entry built, a moment, one term of a point)
+from sizes known before anything is built, the bounds on the entries of A
+and B and the top exponent, and from the terms each model has summed so
+far.  The first point takes the split that answers it cheapest, build
+included; a split with cheaper points takes over once the terms summed
+cover its build (rent or buy).  No count of future points is assumed.
 
 Two evaluation modes are provided:
 
@@ -38,18 +63,24 @@ Two evaluation modes are provided:
   double (or the exact value is 0) and inf when a nonzero value underflows
   or overflows.
 
-The measure has up to 2^n entries when no widths are commensurate.  Its
-size is bounded before it is built, and a model whose bound exceeds
-MEASURE_MAX = 2**20 entries raises CapacityError at its first vertex sum;
-that is the only capacity rule, so 100 identical components (101 entries)
-are fine while 21 generic ones are refused.  support, moments and sampling
-never build the measure and work at any n.
+MEASURE_MAX = 2**20 bounds the entries each path builds: A's measure plus
+B's measure and its moment table (top exponent + 1 columns).  Only paths
+within it are taken, and a model drops a path's parts when it moves to
+another.  The bound is known before anything is built, and a model none of
+whose paths fits raises CapacityError at its first vertex sum, naming the
+smallest footprint.  So 100 identical components (101 entries) are fine,
+generic widths evaluate exactly up to n = 29 and are refused from n = 30
+(2^15 + 2^15 * 32 entries).  breakpoints() and the batch paths need every
+key of the merged measure, so they build it whole and are refused when its
+bound exceeds MEASURE_MAX, from 21 generic widths on.  support, moments and
+sampling never build the measure and work at any n.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -196,70 +227,281 @@ _TAU = 0
 _SIGN = 1
 _RAW = 2
 
+# The three ways of splitting the measure into A (x) B: A is the whole
+# measure and B trivial (_DIRECT), A trivial and B the whole measure
+# (_TABLE), or each a half of the distinct legs (_SPLIT).
+_DIRECT = "direct"
+_TABLE = "table"
+_SPLIT = "split"
+_PATHS = (_DIRECT, _TABLE, _SPLIT)
 
-def _vertex_measure(legs: Sequence, sign: int) -> tuple:
-    """The coefficients of prod_j (z^legs[j] + sign), as (keys, weights, den).
 
-    The legs are positive rationals (or ints) over the common denominator
-    den; keys are the sorted integer exponents times den with nonzero weight,
-    and weights the matching integer coefficients.  With sign = -1, key k
-    stands for every flag vector whose set legs sum to k / den, weighted by
-    (-1)^(flags not set); with sign = +1 nothing cancels and the keys are
-    all the subset sums.
+def _bound(steps: Counter) -> int:
+    """An upper bound on the entries of prod over steps s of (z^s - 1)^mult.
 
-    The only capacity check of the vertex sums: every intermediate dict and
-    the result hold at most min(prod over distinct steps of (multiplicity +
-    1), sum of steps + 1) entries, and a bound above MEASURE_MAX raises
-    CapacityError before any entry is built.
+    min(prod over distinct steps of (multiplicity + 1), sum of steps + 1),
+    known before anything is built; 1 for no steps.
     """
-    den = math.lcm(*(leg.denominator for leg in legs))
-    steps = [leg.numerator * (den // leg.denominator) for leg in legs]
-    bound = min(math.prod(m + 1 for m in Counter(steps).values()), sum(steps) + 1)
-    if bound > MEASURE_MAX:
-        raise CapacityError(
-            f"{len(steps)} components need a vertex measure of up to {bound} "
-            f"entries (limit MEASURE_MAX = {MEASURE_MAX})")
-    # prod_j (z^s_j + sign) = sign^n prod_j (1 + sign z^s_j) for sign = +-1
-    weight = {0: sign ** len(steps)}
-    for step in steps:
-        merged = dict(weight)
-        for k, w in weight.items():
-            merged[k + step] = merged.get(k + step, 0) + sign * w
+    return min(math.prod(m + 1 for m in steps.values()),
+               sum(s * m for s, m in steps.items()) + 1)
+
+
+def _vertex_measure(steps: Counter) -> tuple:
+    """The coefficients of prod over steps s of (z^s - 1)^mult, as (keys, weights).
+
+    keys are the sorted exponents with nonzero coefficient, weights the
+    matching integers: key k stands for every flag vector whose set legs sum
+    to k, weighted by (-1)^(flags not set).  Each distinct step enters as
+    its binomial expansion sum_k (-1)^(mult - k) C(mult, k) z^(k s), and the
+    distinct steps are merged one after the other, so n identical legs cost
+    n + 1 binomials rather than n passes.  Every intermediate dict holds at
+    most _bound(steps) entries; the callers check that bound first.
+    """
+    weight = {0: 1}
+    for step, mult in steps.items():
+        factor, c = [], (-1) ** mult
+        for k in range(mult + 1):
+            factor.append((k * step, c))
+            c = -c * (mult - k) // (k + 1)
+        merged = {}
+        for key, w in weight.items():
+            for shift, binom in factor:
+                merged[key + shift] = merged.get(key + shift, 0) + w * binom
         weight = {k: w for k, w in merged.items() if w}
     keys = tuple(sorted(weight))
-    return keys, tuple(weight[k] for k in keys), den
+    return keys, tuple(weight[k] for k in keys)
 
 
-def _vertex_sum(measure: tuple, start, exponent: int, form: int) -> Fraction:
-    """sum over the measure of w * phi(start + key / den), exactly.
+def _suffix_moments(keys: tuple, weights: tuple, top: int) -> list:
+    """rows[i][j] = sum over t >= i of weights[t] * keys[t]**j, for j <= top.
 
-    phi(y) is y^exponent * tau(y) (_TAU), y^exponent * sign(y) (_SIGN) or
-    plain y^exponent (_RAW, with 0^0 = 1).  start is a rational or an int.
-    Keys and start are brought to one denominator, so the loop runs on
-    integers; the arguments ascend with the keys, which locates the zero
-    argument by bisection.
+    rows has len(keys) + 1 entries; the last is all zeros.
     """
-    keys, weights, den = measure
-    scale = math.lcm(den, start.denominator)
-    s = start.numerator * (scale // start.denominator)
-    m = scale // den
+    acc = [0] * (top + 1)
+    rows = [tuple(acc)]
+    for k, w in zip(reversed(keys), reversed(weights)):
+        p = w
+        for j in range(top + 1):
+            acc[j] += p
+            p *= k
+        rows.append(tuple(acc))
+    rows.reverse()
+    return rows
+
+
+class VertexMeasure:
+    """The merged signed vertex measure prod_j (z^legs[j] - 1) of one model.
+
+    The legs are positive rationals over the common denominator den; a key k
+    stands for the argument offset k / den.  top is the largest exponent the
+    model evaluates.  sum() evaluates every closed form over the measure,
+    factored as A (x) B by splitting the legs in two:
+
+        sum_a w_a sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
+
+    where S^B_j[i] = sum over t >= i of w_t k_t^j are B's suffix moments, up
+    to top, and pos(a) is one bisection of B's keys.  Which split answers is
+    decided by _choose from the sizes the paths build and the work they have
+    done so far, never from a guess at how many points will follow.
+
+    Instances are built lazily and cache what they build.  The choice of a
+    path, its build and the count of terms summed share one lock, so
+    threads sharing a model build each path once and drop it once; the sums
+    themselves run outside it.  The path decides which exact evaluation
+    answers, never the value.
+    """
+
+    def __init__(self, legs: Sequence, top: int):
+        self.den = math.lcm(*(leg.denominator for leg in legs))
+        self.steps = Counter(leg.numerator * (self.den // leg.denominator) for leg in legs)
+        self.n = len(legs)
+        self.top = top
+        self._parts = {}
+        self._path = None  # the path that answers, once _choose has run
+        self._spent = 0    # terms summed so far, on any path
+        self._due = 0      # _spent at which _choose looks for a cheaper path
+        self._lock = threading.Lock()
+
+    def _check(self, size: int, what: str) -> None:
+        if size > MEASURE_MAX:
+            raise CapacityError(
+                f"{self.n} components need {what} of up to {size} entries "
+                f"(limit MEASURE_MAX = {MEASURE_MAX})")
+
+    @cached_property
+    def full(self) -> tuple:
+        """(keys, weights) of the whole merged measure, for breakpoints and the batch paths.
+
+        Refused with CapacityError when its bound exceeds MEASURE_MAX.
+        """
+        self._check(_bound(self.steps), "a vertex measure")
+        return _vertex_measure(self.steps)
+
+    @cached_property
+    def _halves(self) -> tuple:
+        """The distinct legs in two groups whose bounds balance, smaller bound first.
+
+        Greedy: the most repeated steps first, each into the group whose
+        bound is smaller so far.
+        """
+        groups = (Counter(), Counter())
+        for step, mult in sorted(self.steps.items(), key=lambda sm: (-sm[1], sm[0])):
+            groups[_bound(groups[1]) < _bound(groups[0])][step] = mult
+        return tuple(sorted(groups, key=_bound))
+
+    def _split(self, path: str) -> tuple:
+        if path == _DIRECT:
+            return self.steps, Counter()
+        if path == _TABLE:
+            return Counter(), self.steps
+        return self._halves
+
+    def _built(self, path: str) -> int:
+        """Entries a path builds: A's measure, and B's measure with its
+        moment table of top + 1 columns unless B is trivial."""
+        size_a, size_b = map(_bound, self._split(path))
+        return size_a if path == _DIRECT else size_a + size_b * (self.top + 2)
+
+    @cached_property
+    def _plans(self) -> dict:
+        """path -> (bound of A, bound of B) for each path whose build fits MEASURE_MAX.
+
+        CapacityError, naming the smallest build, when no path fits; nothing
+        is built before that.
+        """
+        plans = {path: tuple(map(_bound, self._split(path))) for path in _PATHS
+                 if self._built(path) <= MEASURE_MAX}
+        if not plans:
+            self._check(min(map(self._built, _PATHS)), "a vertex measure and moment table")
+        return plans
+
+    def _costs(self, path: str) -> tuple:
+        """(terms still to build, terms of one point) of a path that fits.
+
+        A point costs one term per entry of A on the direct loop, and top + 1
+        terms per entry of A against a table; a built entry or moment is one
+        term.  What is cached is free: a built path, and the whole measure
+        once breakpoints() or a batch path has made it.
+        """
+        size_a, size_b = self._plans[path]
+        whole = self.__dict__.get("full")
+        if whole and path == _DIRECT:
+            size_a = len(whole[0])
+        if whole and path == _TABLE:
+            size_b = len(whole[0])
+        point = size_a if path == _DIRECT else size_a * (self.top + 1)
+        if path in self._parts:
+            return 0, point
+        if path == _DIRECT:
+            return (0 if whole else size_a), point
+        measures = size_b if path == _TABLE and whole else size_a + size_b
+        return measures + size_b * (self.top + 1), point
+
+    def _choose(self) -> str:
+        """The path the next sum takes; CapacityError if none fits.
+
+        The first sum takes the path that answers one point cheapest, build
+        included.  Later sums switch to a path with cheaper points as soon
+        as the terms summed so far cover what it still has to build: the
+        rent-or-buy rule, which with one cheaper path spends at most about
+        twice what the better of the two would have for the same points,
+        however many follow.  The abandoned path's parts are freed.
+        """
+        if self._spent < self._due:
+            return self._path
+        costs = {path: self._costs(path) for path in self._plans}
+        path = self._path
+        if path is None:
+            path = min(costs, key=lambda p: sum(costs[p]))
+        cheaper = [p for p in costs if costs[p][1] < costs[path][1]]
+        paid = [p for p in cheaper if costs[p][0] <= self._spent]
+        if paid:
+            path = min(paid, key=lambda p: costs[p][1])
+            cheaper = [p for p in cheaper if costs[p][1] < costs[path][1]]
+        if self._path is not None and path != self._path:
+            self._parts.pop(self._path, None)
+        self._path = path
+        self._due = min((costs[p][0] for p in cheaper), default=math.inf)
+        return path
+
+    def _build(self, path: str) -> tuple:
+        """(A's keys, A's weights, B's keys, B's suffix moments or None) of a path."""
+        parts = self._parts.get(path)
+        if parts is None:
+            a, b = self._split(path)
+            if not b:
+                parts = (*self.full, None, None)
+            else:
+                self._check(self._built(path), "a vertex measure and moment table")
+                a_keys, a_weights = _vertex_measure(a)
+                b_keys, b_weights = self.full if not a else _vertex_measure(b)
+                parts = (a_keys, a_weights, b_keys,
+                         _suffix_moments(b_keys, b_weights, self.top))
+            self._parts[path] = parts
+        return parts
+
+    def sum(self, start, exponent: int, form: int, path: str | None = None) -> Fraction:
+        """sum over the measure of w * phi(start + key / den), exactly.
+
+        phi(y) is y^exponent * tau(y) (_TAU), y^exponent * sign(y) (_SIGN) or
+        plain y^exponent (_RAW, with 0^0 = 1), for exponent <= top.  start
+        is a rational or an int.  Keys and start are brought to one
+        denominator, so the work is on integers; the arguments ascend with
+        the keys, which locates the zero arguments by bisection.  path
+        forces one of _DIRECT, _TABLE and _SPLIT; by default _choose does.
+        """
+        with self._lock:
+            a_keys, a_weights, b_keys, rows = self._build(path or self._choose())
+            self._spent += len(a_keys) * (1 if rows is None else exponent + 1)
+        scale = math.lcm(self.den, start.denominator)
+        s = start.numerator * (scale // start.denominator)
+        m = scale // self.den
+        e = exponent
+        if rows is None:
+            return Fraction(_direct_twice(a_keys, a_weights, s, m, e, form),
+                            2 * scale ** e)
+        coef = [math.comb(e, j) * m ** j for j in range(e + 1)]
+        total, zero = rows[0], rows[-1]
+        twice = 0
+        for a, w in zip(a_keys, a_weights):
+            t = s + m * a
+            if form == _RAW:
+                row = total
+            else:
+                pos = bisect_right(b_keys, (-t) // m)  # B's args from pos on are > 0
+                row = rows[pos]
+                if form == _SIGN:
+                    neg = rows[bisect_left(b_keys, -(t // m))]
+                    row = [p + q - r for p, q, r in zip(row, neg, total)]
+                elif e == 0:
+                    # tau(0) = 1/2: half the weight of the zero arguments
+                    twice += w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
+                if row is zero:
+                    continue
+            acc = 0
+            for c, v in zip(coef, row):
+                acc = acc * t + c * v
+            twice += 2 * w * acc
+        return Fraction(twice, 2 * scale ** e)
+
+
+def _direct_twice(keys: tuple, weights: tuple, s: int, m: int, e: int, form: int) -> int:
+    """Twice sum over keys of w * phi(s + m * key), one power per entry."""
     neg = bisect_left(keys, -(s // m))   # keys before neg have arguments < 0
     pos = bisect_right(keys, (-s) // m)  # keys from pos on have arguments > 0
 
     def part(lo, hi):
-        return sum(w * (s + m * k) ** exponent
-                   for k, w in zip(keys[lo:hi], weights[lo:hi]))
+        return sum(w * (s + m * k) ** e for k, w in zip(keys[lo:hi], weights[lo:hi]))
 
     if form == _TAU:
-        # tau(0) = 1/2 matters for exponent 0 only; accumulate twice the sum
+        # tau(0) = 1/2 matters for exponent 0 only
         twice = 2 * part(pos, len(keys))
-        if exponent == 0:
+        if e == 0:
             twice += sum(weights[neg:pos])
-    elif form == _SIGN:
-        twice = 2 * (part(pos, len(keys)) - part(0, neg))
-    else:
-        twice = 2 * part(0, len(keys))
-    return Fraction(twice, 2 * scale ** exponent)
+        return twice
+    if form == _SIGN:
+        return 2 * (part(pos, len(keys)) - part(0, neg))
+    return 2 * part(0, len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +557,9 @@ class ContinuousSum:
         return sum(c.hi for c in self.components)
 
     @cached_property
-    def _measure(self) -> tuple:
-        """Vertex measure in arguments x - _hi + key / den: legs 2 a_j."""
-        return _vertex_measure([2 * c.half_width for c in self.components], -1)
+    def _measure(self) -> VertexMeasure:
+        """Vertex measure in arguments x - _hi + key / den: legs 2 a_j, up to the cdf's exponent n."""
+        return VertexMeasure([2 * c.half_width for c in self.components], self.n)
 
     @cached_property
     def _width_product(self) -> Fraction:
@@ -340,12 +582,16 @@ class ContinuousSum:
         return (mean, var)
 
     def breakpoints(self) -> list:
-        """Sorted distinct kink locations of the density: lo plus each subset sum of the legs.
+        """Sorted kink locations of the density: lo plus each key of the signed vertex measure.
 
-        Up to 2^n points, refused with CapacityError over the vertex measure budget.
+        These are the subset sums of the legs 2 a_j whose merged weight does
+        not cancel; a subset sum whose weight is 0 is no kink (legs 1, 2, 3
+        leave none at lo + 3).  Up to 2^n points; the whole measure is
+        built, and refused with CapacityError when its bound exceeds
+        MEASURE_MAX.
         """
-        keys, _, den = _vertex_measure([2 * c.half_width for c in self.components], 1)
-        return [self._lo + Fraction(k, den) for k in keys]
+        keys, _ = self._measure.full
+        return [self._lo + Fraction(k, self._measure.den) for k in keys]
 
     # -- pointwise evaluation ---------------------------------------------
 
@@ -356,7 +602,7 @@ class ContinuousSum:
             return _result(Fraction(below), mode)
         if xf > self._hi:
             return _result(Fraction(above), mode)
-        raw = _vertex_sum(self._measure, xf - self._hi, exponent, form)
+        raw = self._measure.sum(xf - self._hi, exponent, form)
         return _result(raw / self._norm(exponent, extra_pow2), mode)
 
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
@@ -391,7 +637,7 @@ class ContinuousSum:
         hook.  Inputs must be finite rationals.
         """
         xf = _as_fraction(x, "x")
-        return _vertex_sum(self._measure, xf - self._hi, self.n - 1, _RAW)
+        return self._measure.sum(xf - self._hi, self.n - 1, _RAW)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
@@ -439,7 +685,8 @@ class ContinuousSum:
     @cached_property
     def _vertex_table(self):
         """Float offsets (key / den - _hi) / _unit and weights of the vertex measure."""
-        keys, weights, den = self._measure
+        keys, weights = self._measure.full
+        den = self._measure.den
         scale = math.lcm(den, self._hi.denominator)
         shift = self._hi.numerator * (scale // self._hi.denominator)
         num, dnm = self._unit.denominator, scale * self._unit.numerator

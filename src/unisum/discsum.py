@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable
 
-from .contsum import _SIGN, _TAU, _vertex_measure, _vertex_sum
+from .contsum import _SIGN, _TAU, VertexMeasure
 
 __all__ = [
     "DiscreteComponent",
@@ -132,9 +132,10 @@ class DiscreteSum:
         return (-self.span, self.span)
 
     @cached_property
-    def _measure(self) -> tuple:
-        """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1)."""
-        return _vertex_measure([2 * c.count for c in self.components], -1)
+    def _measure(self) -> VertexMeasure:
+        """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1),
+        up to the largest exponent n - 1."""
+        return VertexMeasure([2 * c.count for c in self.components], self.n - 1)
 
     def _pmf(self, p, form: int, pow2: int) -> Fraction:
         """The outer Laurent sum over k of the vertex sums with exponent n-2k-1.
@@ -154,7 +155,7 @@ class DiscreteSum:
         total = Fraction(0)
         for k in range((n - 1) // 2 + 1):
             e = n - 2 * k - 1
-            s = _vertex_sum(self._measure, start, e, form)
+            s = self._measure.sum(start, e, form)
             if s:
                 total += (-1) ** k * csc_coefficient(n, k) * s / math.factorial(e)
         return self.mass_norm / 2 ** pow2 * total

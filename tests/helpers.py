@@ -49,8 +49,16 @@ def discrete_panel(seed: int, size: int, n_max: int = 6, m_max: int = 5):
 
 # the vertex measure budget ---------------------------------------------------
 
-# 21 distinct power-of-two legs: every subset sum differs, 2**21 entries
+# Distinct power-of-two legs: every subset sum differs, so n of them merge
+# into 2**n entries.  The whole measure, which breakpoints() builds, is
+# refused from 21 legs on (2**21 entries).  A vertex sum splits the legs
+# into halves of 2**(n // 2) and 2**(n - n // 2) entries and tabulates the
+# larger one's moments up to the top exponent e: 2**(n // 2) +
+# 2**(n - n // 2) * (e + 2) entries.  That is refused from 30 continuous
+# components (e = 30: 33 * 2**15) and 31 discrete ones (e = 30: 65 * 2**15).
 POW2_21 = [2 ** k for k in range(21)]
+POW2_30 = [2 ** k for k in range(30)]
+POW2_31 = [2 ** k for k in range(31)]
 
 
 def assert_refused_unbuilt(call, bound: int):

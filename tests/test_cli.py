@@ -127,11 +127,11 @@ class TestPointCommands:
 
     def test_exceeding_capacity_exits_1(self, capsys):
         argv = ["density", "--at", "0"]
-        for a in helpers.POW2_21:
+        for a in helpers.POW2_30:
             argv += ["--comp", f"0:{a}"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and f"up to {2 ** 21} entries" in err
+        assert err.startswith("error: ") and f"up to {33 * 2 ** 15} entries" in err
         code, out, _ = run(capsys, "cdf", "--at", "0", *["--comp", "0:1"] * 100)
         assert code == 0 and out == "0\t1/2 = 0.500000\n"
         code, out, _ = run(capsys, "pmf", "--at", "0", *["--m", "1"] * 30)

@@ -1,6 +1,8 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from unisum import contsum
 from unisum import (
     EXACT,
     FLOAT,
@@ -23,6 +26,8 @@ from unisum import (
 )
 
 HALF = F(1, 2)
+PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
+FORMS = {"tau": contsum._TAU, "sign": contsum._SIGN, "raw": contsum._RAW}
 UNIT_BOX = ContinuousSum.from_pairs([(0, 1)])
 TWO_MIXED = ContinuousSum.from_pairs([(0, 1), (0, 2)])
 TRIANGLE = ContinuousSum.from_pairs([(HALF, HALF), (HALF, HALF)])  # two U[0,1]
@@ -221,7 +226,7 @@ class TestSpecialCases:
             density_olds([1, -1], 0)
 
     def test_measure_budget(self):
-        helpers.assert_refused_unbuilt(lambda: density_olds(helpers.POW2_21, 0), 2 ** 21)
+        helpers.assert_refused_unbuilt(lambda: density_olds(helpers.POW2_30, 0), 33 * 2 ** 15)
         helpers.assert_identical_components_work()
         # the centre of 100 x U[0, 2] is the centre of 100 x U[-1, 1]
         hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
@@ -278,17 +283,18 @@ class TestModesAndValidation:
             ContinuousSum(())
 
     def test_capacity(self):
+        pow2 = ContinuousSum.from_pairs([(0, a) for a in helpers.POW2_30])
+        for call in (lambda: pow2.density_tau(0), lambda: pow2.cdf(0)):
+            helpers.assert_refused_unbuilt(call, 33 * 2 ** 15)
+        assert pow2.support() == (-(2 ** 30 - 1), 2 ** 30 - 1)
+        # 21 legs: the whole measure is refused, the split halves are not
         pow2 = ContinuousSum.from_pairs([(0, a) for a in helpers.POW2_21])
-        for call in (lambda: pow2.density_tau(0), pow2.breakpoints):
-            helpers.assert_refused_unbuilt(call, 2 ** 21)
-        assert pow2.support() == (-(2 ** 21 - 1), 2 ** 21 - 1)
-        rng = random.Random(24)
-        generic = ContinuousSum.from_pairs([(0, rng.uniform(0.25, 2)) for _ in range(24)])
-        helpers.assert_refused_unbuilt(lambda: generic.cdf(0), 2 ** 24)
+        helpers.assert_refused_unbuilt(pow2.breakpoints, 2 ** 21)
+        assert pow2.cdf(0).value == HALF
         helpers.assert_identical_components_work()
         hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
         assert hundred.moments() == (0, F(100, 3))
-        assert len(hundred._measure[0]) == 101
+        assert len(hundred._measure.full[0]) == 101
 
     def test_exact_mode_rejects_non_finite(self):
         with pytest.raises(ModeError):
@@ -400,6 +406,18 @@ class TestBruteForceReference:
             assert s.cool_identity_residual(x) == \
                 helpers.brute_continuous(pairs, x, "cool_identity_residual") == 0
 
+        # every split of the measure, forced on the same model: the raw vertex
+        # sums in arguments x - hi + key / den, which is x - sum c_j + sum eps_j a_j
+        n = len(pairs)
+        centre = sum(F(c) for c, _ in pairs)
+        for x in (on_kink, off_kink):
+            for e, form in ((n - 1, "tau"), (n - 1, "sign"), (n, "tau"), (n - 1, "raw"),
+                            (0, "tau")):
+                want = helpers.brute_vertex_sum(x - centre, [F(a) for _, a in pairs], e, form)
+                for path in PATHS:
+                    assert s._measure.sum(x - hi, e, FORMS[form], path=path) == want, \
+                        (path, e, form, x)
+
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
         avec = [a for _, a in pairs]
@@ -417,6 +435,136 @@ class TestBruteForceReference:
         p = data.draw(st.integers(min_value=-d.span - 1, max_value=d.span + 1), label="p")
         assert d.pmf_tau(p) == helpers.brute_pmf(ms, p, "tau")
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
+        counts = [2 * m + 1 for m in ms]
+        for e in range(len(ms) - 1, -1, -2):
+            for form in ("tau", "sign"):
+                want = helpers.brute_vertex_sum(2 * p, counts, e, form)
+                for path in PATHS:
+                    assert d._measure.sum(2 * p - sum(counts), e, FORMS[form],
+                                          path=path) == want, (path, e, form, p)
+
+
+def _grid_model(seed, n):
+    """Centers and half-widths on the 1/8 grid, as in the exact-commensurate benchmark."""
+    rng = random.Random(seed)
+    return ContinuousSum.from_pairs([(F(rng.randint(-8, 8), 8), F(rng.randint(1, 25), 8))
+                                     for _ in range(n)])
+
+
+def _generic_model(seed, n):
+    """Centered components whose widths are generic doubles: no subset sums merge."""
+    rng = random.Random(seed)
+    return ContinuousSum.from_pairs([(0, rng.uniform(0.25, 2)) for _ in range(n)])
+
+
+class TestVertexPaths:
+    """Which split of the vertex measure answers, and generic widths past 2**20 entries."""
+
+    def test_choice(self):
+        # the first sum takes the path that answers one point cheapest
+        commensurate = _grid_model(14, 14)
+        generic = _generic_model(5, 12)
+        hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
+        panel = DiscreteSum.from_half_ranges([128, 256, 384] * 4)
+        assert commensurate._measure._choose() == contsum._DIRECT
+        assert generic._measure._choose() == contsum._SPLIT
+        assert hundred._measure._choose() == contsum._DIRECT
+        assert panel._measure._choose() == contsum._DIRECT
+
+    @pytest.mark.parametrize("model, first, points, last", [
+        (_grid_model(14, 14), contsum._DIRECT, 40, contsum._TABLE),
+        (_generic_model(5, 12), contsum._SPLIT, 80, contsum._TABLE),
+        (ContinuousSum.from_pairs([(0, 1)] * 100), contsum._DIRECT, 40, contsum._DIRECT),
+    ])
+    def test_switch(self, model, first, points, last):
+        # a path with cheaper points takes over as soon as the terms summed
+        # so far cover its build, and the path it replaces is freed; the
+        # values stay
+        measure = ContinuousSum(model.components)._measure
+        build = measure._costs(last)[0]
+        lo, hi = model.support()
+        taken, spent = [], []
+        for i in range(1, points + 1):
+            start = lo - hi + (hi - lo) * F(i, points + 1)
+            spent.append(measure._spent)
+            taken.append(measure._choose())
+            assert measure.sum(start, model.n, contsum._TAU) == \
+                model._measure.sum(start, model.n, contsum._TAU, path=first)
+        assert taken[0] == first and taken[-1] == last
+        assert taken == sorted(taken, key=taken.index)  # no path returns
+        assert set(measure._parts) == {last}
+        if last != first:
+            k = taken.index(last)
+            assert spent[k - 1] < build <= spent[k]
+
+    def test_cached_measure_is_free(self):
+        # after breakpoints() the whole measure is built, so the direct loop
+        # answers the first point of generic widths the split would take
+        s = _generic_model(9, 9)
+        assert s._measure._choose() == contsum._SPLIT
+        s = ContinuousSum(s.components)
+        s.breakpoints()
+        assert s._measure._choose() == contsum._DIRECT
+
+    def test_shared_across_threads(self):
+        # more threads than cores, with a short switch interval: a lost
+        # update of the count of terms, or a freed path built again by a
+        # thread that chose it just before the switch, would show here
+        hundred = ContinuousSum.from_pairs([(0, 1)] * 100)  # the direct loop, 101 terms a cdf
+        generic = _generic_model(5, 12)  # the split, then the table after about 70 sums
+        reference = ContinuousSum(generic.components)
+        xs = [F(i, 7) for i in range(-6, 6)]
+        want = [reference.cdf(x).value for x in xs]
+        results = []
+
+        def worker():
+            results.append([generic.cdf(x).value for x in xs])
+            for x in xs:
+                hundred.cdf(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+        assert hundred._measure._spent == 8 * len(xs) * 101
+        assert generic._measure._path == contsum._TABLE
+        assert set(generic._measure._parts) == {contsum._TABLE}
+
+    def test_pmf_moves_to_table(self):
+        d = DiscreteSum.from_half_ranges([128, 256, 384] * 4)
+        values = [d.pmf_tau(p) for p in range(-20, 20)]
+        assert d._measure._path == contsum._TABLE
+        fresh = DiscreteSum.from_half_ranges([128, 256, 384] * 4)
+        assert values == [fresh.pmf_sign(p) for p in range(-20, 20)]
+
+    def test_generic_24(self):
+        # no two subset sums of these widths coincide: the whole measure would
+        # hold 2**24 entries, each split half holds 2**12
+        rng = random.Random(24)
+        widths = [rng.uniform(0.25, 2) for _ in range(24)]
+        s = ContinuousSum.from_pairs([(0, a) for a in widths])
+        assert s._measure._choose() == contsum._SPLIT
+        helpers.assert_refused_unbuilt(s.breakpoints, 2 ** 24)
+        # symmetric about 0, so half the mass lies below it
+        assert s.cdf(0).value == HALF
+        assert s.cdf(0, FLOAT).value == 0.5
+        # shifting every component shifts the distribution
+        centres = [rng.uniform(-1, 1) for _ in widths]
+        shifted = ContinuousSum.from_pairs(list(zip(centres, widths)))
+        mean = sum(F(c) for c in centres)
+        assert shifted.cdf(mean).value == HALF
+        for x in (F(1, 3), F(-7, 2)):
+            assert shifted.cdf(mean + x).value == s.cdf(x).value
+            assert shifted.cdf(mean + x).value + s.cdf(-x).value == 1
+            assert shifted.density_tau(mean + x).value == s.density_tau(x).value > 0
 
 
 class TestScaleAndShift:
@@ -473,3 +621,13 @@ class TestBreakpoints:
     def test_count(self):
         s = ContinuousSum.from_pairs([(0, 1), (0, 2), (0, 4)])
         assert len(s.breakpoints()) == 8
+
+    def test_cancelled_subset_sum_is_no_kink(self):
+        # legs 1, 2, 3: the subset sums 3 and 1 + 2 carry opposite signs
+        s = ContinuousSum.from_pairs([(0, HALF), (0, 1), (0, F(3, 2))])
+        assert s.breakpoints() == [-3, -2, -1, 1, 2, 3]
+        # the density is one quadratic on [-1, 1]: its second differences agree
+        h = F(1, 4)
+        second = [s.density_tau(x - h).value - 2 * s.density_tau(x).value
+                  + s.density_tau(x + h).value for x in (F(-1, 2), 0, F(1, 2))]
+        assert second[0] == second[1] == second[2] != 0

@@ -190,6 +190,6 @@ class TestModel:
             DiscreteSum(())
 
     def test_measure_budget(self):
-        pow2 = DiscreteSum.from_half_ranges(helpers.POW2_21)
-        helpers.assert_refused_unbuilt(lambda: pow2.pmf_tau(0), 2 ** 21)
+        pow2 = DiscreteSum.from_half_ranges(helpers.POW2_31)
+        helpers.assert_refused_unbuilt(lambda: pow2.pmf_tau(0), 65 * 2 ** 15)
         helpers.assert_identical_components_work()
