@@ -70,10 +70,14 @@ another.  The bound is known before anything is built, and a model none of
 whose paths fits raises CapacityError at its first vertex sum, naming the
 smallest footprint.  So 100 identical components (101 entries) are fine,
 generic widths evaluate exactly up to n = 29 and are refused from n = 30
-(2^15 + 2^15 * 32 entries).  breakpoints() and the batch paths need every
-key of the merged measure, so they build it whole and are refused when its
-bound exceeds MEASURE_MAX, from 21 generic widths on.  support, moments and
-sampling never build the measure and work at any n.
+(2^15 + 2^15 * 32 entries).  breakpoints() needs every key of the merged
+measure, so it builds it whole and is refused when its bound exceeds
+MEASURE_MAX, from 21 generic widths on.  The batch paths build it too, and
+from it a piece table: per key, the Taylor coefficients of the CDF and the
+density about it.  It counts n + 2 entries per key of the measure's bound,
+the rule of a moment table of top exponent n, so the batch paths are
+refused from 16 generic widths on (2^16 * 18 entries).  support, moments
+and sampling never build the measure and work at any n.
 """
 
 from __future__ import annotations
@@ -287,6 +291,31 @@ def _suffix_moments(keys: tuple, weights: tuple, top: int) -> list:
         rows.append(tuple(acc))
     rows.reverse()
     return rows
+
+
+def _knot_rows(keys: tuple, weights: tuple, e: int):
+    """Yield (c, before) at each knot X = -k of sum_t w_t (X + k_t)_+^e, keys descending.
+
+    c[r] is the exact coefficient of (X + k)^r of the polynomial just right
+    of the knot, before the top coefficient of the one just left of it: the
+    two differ only there, by the knot's weight.  Each knot costs one Taylor
+    shift of the last row by the gap between them (e (e + 1) / 2
+    multiply-adds) and one addition.  c is reused: read it before the next.
+    """
+    c = [0] * (e + 1)
+    last = None
+    for k, w in zip(reversed(keys), reversed(weights)):
+        if last is not None:
+            gap = last - k
+            for i in range(e):
+                acc = c[e]
+                for j in range(e - 1, i - 1, -1):
+                    acc = c[j] + gap * acc
+                    c[j] = acc
+        before = c[e]
+        c[e] += w
+        last = k
+        yield c, before
 
 
 class VertexMeasure:
@@ -667,9 +696,24 @@ class ContinuousSum:
 
     # -- vectorized float evaluation ---------------------------------------
     #
-    # Plain float64 numpy paths for tables, plots and goodness-of-fit runs.
-    # No compensation: accuracy is ~condition * machine epsilon, ample for
-    # those uses.  Memory is O(measure size); intended for moderate n.
+    # float64 numpy paths for tables, plots and goodness-of-fit runs.  The
+    # density is a piecewise polynomial of degree e = n - 1 and the CDF one
+    # of degree e = n, with knots at hi - key / den for the keys of the
+    # vertex measure (a univariate box spline).  _pieces holds, at every
+    # knot, both Taylor expansions in the length unit _unit: of the piece to
+    # its right, and the top coefficient of the piece to its left.  They
+    # come from one exact integer pass over the measure (_knot_rows), and
+    # each is rounded once to a double.  A point finds its piece by
+    # np.searchsorted and is evaluated by Horner about the nearer knot, at
+    # the offset z = (x - knot) / _unit, which carries the knot's rounding
+    # residual and so is exact up to its last rounding.  The error is then
+    # at most 4 (e + 1) 2^-53 sum_r |c_r z^r| (c_r the coefficients used),
+    # so at most 4 (e + 1) 2^-53 times the table maximum: the largest such
+    # sum over the table with |z| half the piece's length.  Results below 0
+    # (density) or outside [0, 1] (CDF) are clamped, which only shrinks the
+    # error.  The table holds 2 n + 3 coefficients per knot; it counts n + 2
+    # entries per key of the measure's bound against MEASURE_MAX, like a
+    # moment table of top exponent n, checked before anything is built.
 
     @cached_property
     def _unit(self) -> Fraction:
@@ -683,47 +727,86 @@ class ContinuousSum:
                                - widest.denominator.bit_length())
 
     @cached_property
-    def _vertex_table(self):
-        """Float offsets (key / den - _hi) / _unit and weights of the vertex measure."""
-        keys, weights = self._measure.full
-        den = self._measure.den
+    def _pieces(self) -> tuple:
+        """(knots, residuals, splits, {e: (columns, left tops)}) for e = n and n - 1.
+
+        knots are the knots rounded to doubles, ascending, residuals what
+        that rounding left off, and splits[i] a point between knots i and
+        i + 1 (inf for the last).  columns[r][i] is the coefficient of z^r
+        about knot i of the piece right of it, left tops[i] the top
+        coefficient of the piece left of it.  CapacityError, before anything
+        is built, when the measure's bound times n + 2 exceeds MEASURE_MAX.
+        """
+        measure, n = self._measure, self.n
+        measure._check(_bound(measure.steps) * (n + 2), "a piece table")
+        keys, weights = measure.full
+        den = measure.den
         scale = math.lcm(den, self._hi.denominator)
         shift = self._hi.numerator * (scale // self._hi.denominator)
-        num, dnm = self._unit.denominator, scale * self._unit.numerator
-        offs = np.array([(k * (scale // den) - shift) * num / dnm for k in keys])
-        return offs, np.array(weights, dtype=float)
+        knots, residuals = [], []
+        for k in reversed(keys):
+            num = shift - k * (scale // den)
+            knot = num / scale
+            p, q = knot.as_integer_ratio()
+            knots.append(knot)
+            residuals.append((num * q - p * scale) / (scale * q))
+        # The CDF's coefficient of z^r is c_r unit^r den^(r - n) / norm_n, the
+        # density's of z^(r - 1) is r c_r unit^(r - 1) den^(r - n) / norm_n.
+        # Each column is (index into c + [before], numerator, denominator):
+        # the CDF's n + 1 columns and left top, then the density's n and left top.
+        u, prod = self._unit, self._width_product
+        base = math.factorial(n) * 2 ** n * prod.numerator
+        cdf = [(r, u.numerator ** r * prod.denominator,
+                u.denominator ** r * den ** (n - r) * base) for r in range(n + 1)]
+        density = [(r, r * u.numerator ** (r - 1) * prod.denominator,
+                    u.denominator ** (r - 1) * den ** (n - r) * base)
+                   for r in range(1, n + 1)]
+        plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
+        rows = []
+        for c, before in _knot_rows(keys, weights, n):
+            ext = c + [before]
+            rows.append([ext[r] * m / d for r, m, d in plan])
+        table = np.array(rows).T.copy()
+        knots = np.array(knots)
+        splits = np.append(knots[:-1] + 0.5 * np.diff(knots), math.inf)
+        return knots, np.array(residuals), splits, {
+            n: (table[:n + 1], table[n + 1]),
+            n - 1: (table[n + 2:2 * n + 2], table[2 * n + 2])}
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        flat = np.atleast_1d(xs).ravel() / float(self._unit)
-        offs, signs = self._vertex_table
-        out = np.empty(flat.shape)
-        chunk = max(1, (1 << 22) // len(offs))
-        norm = float(self._norm(exponent) / self._unit ** exponent)
-        for i in range(0, len(flat), chunk):
-            args = flat[i:i + chunk, None] + offs[None, :]
-            if exponent == 0:
-                w = np.heaviside(args, 0.5)
-            else:
-                w = np.where(args > 0.0, args, 0.0) ** exponent
-            out[i:i + chunk] = (w @ signs) / norm
-        return out.reshape(np.shape(xs))
+        """The piece table of exponent n (CDF) or n - 1 (density) at xs, clamped to the support."""
+        knots, residuals, splits, tables = self._pieces
+        columns, left = tables[exponent]
+        x = np.clip(np.atleast_1d(xs).ravel(), knots[0], knots[-1])
+        i = np.searchsorted(knots, x, side="right") - 1
+        i += x > splits[i]
+        t = knots[i]
+        d = x - t
+        b = d - x  # (x - (d - b)) - (t + b) is what x - t lost to rounding
+        z = (d + ((x - (d - b)) - (t + b) - residuals[i])) * float(1 / self._unit)
+        right = columns[-1][i]
+        top = np.where(z > 0, right, left[i])
+        if exponent == 0:  # tau(0) = 1/2 at a jump
+            top = np.where(z == 0, 0.5 * (right + left[i]), top)
+        acc = top
+        for column in columns[-2::-1]:
+            acc = acc * z + column[i]
+        return acc.reshape(np.shape(xs))
 
     def density_batch(self, xs) -> np.ndarray:
-        """Density at an array of points, plain float64 precision."""
+        """Density at an array of points in float64, within the bound of the piece table."""
         xs = np.asarray(xs, dtype=float)
-        out = self._batch(xs, self.n - 1)
+        out = np.maximum(self._batch(xs, self.n - 1), 0.0)
         lo, hi = float(self._lo), float(self._hi)
         return np.where((xs < lo) | (xs > hi), 0.0, out)
 
     def cdf_batch(self, xs) -> np.ndarray:
-        """CDF at an array of points, plain float64 precision."""
+        """CDF at an array of points in float64, within the bound of the piece table."""
         xs = np.asarray(xs, dtype=float)
-        out = self._batch(xs, self.n)
+        out = np.clip(self._batch(xs, self.n), 0.0, 1.0)
         lo, hi = float(self._lo), float(self._hi)
         out = np.where(xs <= lo, 0.0, out)
-        out = np.where(xs >= hi, 1.0, out)
-        return np.clip(out, 0.0, 1.0)
+        return np.where(xs >= hi, 1.0, out)
 
 
 # ---------------------------------------------------------------------------

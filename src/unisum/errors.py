@@ -5,8 +5,12 @@
 # integer legs of (multiplicity + 1), sum of legs + 1).  A vertex sum builds
 # the measure of one group of legs A, and unless that is all of them, the
 # measure of the rest B with its moment table of (top exponent + 1) columns;
-# the sum of those bounds must not exceed MEASURE_MAX.  breakpoints() and the
-# batch paths build the whole measure, whose bound must not exceed it either.
+# the sum of those bounds must not exceed MEASURE_MAX.  breakpoints() builds
+# the whole measure, whose bound must not exceed it either.  The batch paths
+# build the whole measure and a piece table from it, Taylor coefficients of
+# the CDF and density about each key, counted like a moment table: the
+# bound times (n + 2) must not exceed MEASURE_MAX, which refuses 16 generic
+# widths (2**16 * 18 entries) and admits 15.
 # 29 generic continuous widths (2**14 + 2**15 * 31 entries) are admitted and
 # take about 0.8 s to the first exact cdf and 175 MB of peak RSS; 30 are
 # refused.  A generic whole measure of 2**20 entries takes about 2.5 s and
@@ -19,9 +23,10 @@ class CapacityError(ValueError):
 
     Vertex sums raise it when no split of the vertex measure fits
     MEASURE_MAX entries: A's measure plus B's measure and moment table.
-    breakpoints() and the batch paths raise it when the whole merged
-    measure's bound exceeds MEASURE_MAX.  The message gives the bound, and
-    it is raised before any entry is built.
+    breakpoints() raises it when the whole merged measure's bound exceeds
+    MEASURE_MAX, and the batch paths when that bound times n + 2, the size
+    of their piece table, does.  The message gives the size, and it is
+    raised before any entry is built.
     """
 
 

@@ -56,6 +56,9 @@ def discrete_panel(seed: int, size: int, n_max: int = 6, m_max: int = 5):
 # larger one's moments up to the top exponent e: 2**(n // 2) +
 # 2**(n - n // 2) * (e + 2) entries.  That is refused from 30 continuous
 # components (e = 30: 33 * 2**15) and 31 discrete ones (e = 30: 65 * 2**15).
+# The batch paths count n + 2 entries per key of the whole measure, and are
+# refused from 16 legs on (2**16 * 18).
+POW2_16 = [2 ** k for k in range(16)]
 POW2_21 = [2 ** k for k in range(21)]
 POW2_30 = [2 ** k for k in range(30)]
 POW2_31 = [2 ** k for k in range(31)]

@@ -590,13 +590,88 @@ class TestScaleAndShift:
             assert fn(yf, FLOAT).value == float(fn(F(yf)).value)
 
 
+def _table_maximum(s, exponent):
+    """The largest sum_r |c_r| |z|^r of the piece table, |z| half a piece."""
+    knots, _, _, tables = s._pieces
+    columns, left = tables[exponent]
+    half = np.diff(knots) / 2 / float(s._unit)
+    sums = []
+    for top, h in ((columns[-1], np.append(half, 0.0)), (left, np.insert(half, 0, 0.0))):
+        acc = np.abs(top)
+        for column in columns[-2::-1]:
+            acc = acc * h + np.abs(column)
+        sums.append(acc.max())
+    return max(sums)
+
+
+def _assert_within_bound(s, xs):
+    """density_batch and cdf_batch are within 4 (e + 1) 2^-53 times the table
+    maximum of the exact value at each point, once rounded."""
+    for batch, scalar, e in ((s.density_batch, s.density_tau, s.n - 1),
+                             (s.cdf_batch, s.cdf, s.n)):
+        got = batch(xs)
+        want = np.array([scalar(x, FLOAT).value for x in xs])
+        bound = 4 * (e + 1) * 2.0 ** -53 * _table_maximum(s, e) + 2.0 ** -53 * np.abs(want)
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def _eighths(seed, n):
+    """Centers and widths on the 1/8 grid: subset sums merge."""
+    rng = random.Random(seed)
+    return ContinuousSum.from_pairs([(F(rng.randint(-24, 24), 8), F(rng.randint(1, 24), 8))
+                                     for _ in range(n)])
+
+
+def _generic_shifted(seed, n):
+    """Generic double centers and widths: no subset sums merge, and no knot is a double."""
+    rng = random.Random(seed)
+    return ContinuousSum.from_pairs([(rng.uniform(-3, 3), rng.uniform(0.25, 2))
+                                     for _ in range(n)])
+
+
 class TestBatch:
     def test_matches_scalar_float(self):
         xs = np.linspace(-3.5, 3.5, 101)
-        batch = TWO_MIXED.density_batch(xs)
-        for x, b in zip(xs, batch):
-            assert b == pytest.approx(TWO_MIXED.density_tau(x, FLOAT).value,
-                                      rel=1e-11, abs=1e-13)
+        for s in (TWO_MIXED, _generic_model(3, 5)):
+            for batch, scalar in ((s.density_batch, s.density_tau), (s.cdf_batch, s.cdf)):
+                for x, b in zip(xs, batch(xs)):
+                    assert b == pytest.approx(scalar(x, FLOAT).value, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("s", [
+        ContinuousSum.from_pairs([(0, 1)] * 12),
+        _eighths(9, 9),
+        _generic_shifted(9, 9)], ids=["12-identical", "eighths-9", "generic-9"])
+    def test_bound_and_tails(self, s):
+        lo, hi = map(float, s.support())
+        xs = np.linspace(lo, hi, 1001)
+        assert np.all(s.density_batch(xs) >= 0)
+        _assert_within_bound(s, xs)
+        # next to both ends the density is one term of its expansion
+        tails = np.array([lo + 1e-3, hi - 1e-3])
+        for batch, scalar in ((s.density_batch, s.density_tau), (s.cdf_batch, s.cdf)):
+            want = np.array([scalar(x, FLOAT).value for x in tails])
+            assert np.all(want > 0)
+            assert np.all(np.abs(batch(tails) - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_many_identical(self, n):
+        s = ContinuousSum.from_pairs([(0, 1)] * n)
+        _assert_within_bound(s, np.array([-n / 2, -n / 10, 0.0, n / 10, n / 3]))
+
+    def test_jump_midpoints(self):
+        # one uniform on [-1, 3]: 1/4 inside, the midpoint 1/8 at both jumps
+        s = ContinuousSum.from_pairs([(1, 2)])
+        xs = np.array([-1.5, -1.0, 0.0, 3.0, 3.5])
+        assert list(s.density_batch(xs)) == [0.0, 0.125, 0.25, 0.125, 0.0]
+        assert list(s.density_batch(xs)) == [float(s.density_tau(x).value) for x in xs]
+        assert list(s.cdf_batch(xs)) == [0.0, 0.0, 0.25, 1.0, 1.0]
+
+    def test_capacity(self):
+        # 16 power-of-two legs: 2**16 keys, times n + 2 = 18 coefficients
+        pow2 = ContinuousSum.from_pairs([(0, a) for a in helpers.POW2_16])
+        for batch in (pow2.density_batch, pow2.cdf_batch):
+            helpers.assert_refused_unbuilt(lambda: batch([0.0]), 2 ** 16 * 18)
+        assert len(pow2.breakpoints()) == 2 ** 16
 
     def test_cdf_batch_bounds(self):
         xs = np.array([-99.0, -3.0, 0.0, 3.0, 99.0])
