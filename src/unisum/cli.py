@@ -7,9 +7,16 @@ with one component per line (`c a`, or a single `m`), validated like the
 flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
-full pmf support, may hold at most 10**6 points; a model whose vertex sums
-would build more than MEASURE_MAX measure and moment-table entries (from
-30 generic widths on) fails at its first point.  Both exit with 1.
+full pmf support, may hold at most 10**6 points, and sample and verify may
+draw at most 10**6 values (--count); a model whose vertex sums would build
+or do more than MEASURE_MAX entries (from 30 generic widths, or 1,024
+identical ones, on) fails at its first point.  All three exit with 1.
+--n-max must be at least 1, --k-max and --seed at least 0, and --count at
+least 1; anything else is a usage error (exit 2).
+
+Only sample and verify import numpy, through the oracles module, when they
+run; the other subcommands are pure integer and Fraction code, and
+importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from . import discsum, oracles
+from . import discsum
 from .contsum import EXACT, ContinuousSum, EvalMode, EvalResult
 from .discsum import DiscreteSum
 from .errors import CapacityError, ModeError
@@ -119,21 +124,21 @@ def _comp_pair(text: str):
     return (c, a)
 
 
-def _half_range(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if m < 0:
-        raise argparse.ArgumentTypeError(f"m must be >= 0: {text!r}")
-    return m
-
-
 def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _integer_from(least: int):
+    """An argparse type: an integer >= least."""
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}: {text!r}")
+        return value
+    return parse
 
 
 def _config_pair(text: str):
@@ -149,7 +154,7 @@ _CONTINUOUS = ("comp", _config_pair, ContinuousSum.from_pairs, "continuous")
 _MODELS = {
     "density": _CONTINUOUS, "cdf": _CONTINUOUS, "quantile": _CONTINUOUS,
     "table": _CONTINUOUS, "sample": _CONTINUOUS,
-    "pmf": ("m", _half_range, DiscreteSum.from_half_ranges, "discrete"),
+    "pmf": ("m", _integer_from(0), DiscreteSum.from_half_ranges, "discrete"),
 }
 
 
@@ -162,7 +167,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--comp", action="append", type=_comp_pair, default=[],
                            metavar="C:A", help="uniform component on [c-a, c+a]")
         else:
-            p.add_argument("--m", action="append", type=_half_range, default=[],
+            p.add_argument("--m", action="append", type=_integer_from(0), default=[],
                            metavar="K", help="integer uniform on [-k, k]")
         p.add_argument("--config", metavar="FILE",
                        help="read components from a file, one per line")
@@ -211,19 +216,24 @@ def _build_parser() -> _Parser:
     add_points_args(p)
     add_output_args(p)
 
+    def add_coeff_args(p):
+        p.add_argument("--n-max", type=_integer_from(1), default=10)
+        p.add_argument("--k-max", type=_integer_from(0), default=6)
+
+    def add_draw_args(p, count: int, what: str):
+        p.add_argument("--count", type=_integer_from(1), default=count,
+                       help=f"{what}, at most {_GRID_MAX}")
+        p.add_argument("--seed", type=_integer_from(0), default=0)
+
     p = sub.add_parser("coeffs", help="reciprocal-sine Laurent coefficients")
-    p.add_argument("--n-max", type=_integer, default=10)
-    p.add_argument("--k-max", type=_integer, default=6)
+    add_coeff_args(p)
     add_output_args(p)
 
     p = sub.add_parser("verify", help="run the oracle cross-validation suites")
     p.add_argument("--suite", choices=("all", "coeffs", "disc", "cont"),
                    default="all")
-    p.add_argument("--n-max", type=_integer, default=10)
-    p.add_argument("--k-max", type=_integer, default=6)
-    p.add_argument("--count", type=_integer, default=20000,
-                   help="Monte Carlo sample size")
-    p.add_argument("--seed", type=_integer, default=0)
+    add_coeff_args(p)
+    add_draw_args(p, 20000, "Monte Carlo sample size")
     p.add_argument("--step", dest="grid_step", type=_positive_rational,
                    default=Fraction(1, 256), metavar="STEP",
                    help="grid step for the convolution oracle")
@@ -231,8 +241,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw reproducible samples of the sum")
     add_model_args(p, True)
-    p.add_argument("--count", type=_integer, default=10)
-    p.add_argument("--seed", type=_integer, default=0)
+    add_draw_args(p, 10, "number of draws")
     add_output_args(p)
 
     return parser
@@ -325,8 +334,6 @@ def parse_args(argv: Sequence[str]) -> JobSpec:
             raise UsageError("quantile needs --q")
         if not 0 <= ns.q <= 1:
             raise UsageError(f"--q must lie in [0, 1], got {ns.q}")
-    if ns.command == "sample" and ns.count < 1:
-        raise UsageError("--count must be >= 1")
     return spec
 
 
@@ -334,6 +341,7 @@ def parse_args(argv: Sequence[str]) -> JobSpec:
 # Evaluation point grids
 # ---------------------------------------------------------------------------
 
+# Most points a --from/--to/--step grid, or draws a --count, may ask for.
 _GRID_MAX = 10 ** 6
 
 
@@ -343,6 +351,12 @@ def _grid(lo, hi, step) -> list:
     if count > _GRID_MAX:
         raise CapacityError(f"a grid of {count} points exceeds the limit of {_GRID_MAX}")
     return [lo + k * step for k in range(count)]
+
+
+def _check_draws(count: int) -> None:
+    """Refuse a --count above _GRID_MAX before anything is drawn or imported."""
+    if count > _GRID_MAX:
+        raise CapacityError(f"{count} draws exceed the limit of {_GRID_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +440,9 @@ def _run_coeffs(spec: JobSpec) -> str:
 
 
 def _run_sample(spec: JobSpec) -> str:
+    _check_draws(spec.count)
+    from . import oracles
+
     draws = oracles.sample_sum(spec.continuous, spec.count, spec.seed)
     lines = ["value"] if spec.csv else []
     lines += [repr(float(v)) for v in draws]
@@ -437,6 +454,8 @@ def _run_sample(spec: JobSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _verify_coeffs(spec: JobSpec, lines: List[str]) -> bool:
+    from . import oracles
+
     ok = True
     count = 0
     for n in range(1, spec.n_max + 1):
@@ -457,6 +476,9 @@ def _verify_coeffs(spec: JobSpec, lines: List[str]) -> bool:
 
 def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
     import random
+
+    from . import oracles
+
     rng = random.Random(spec.seed)
     ok = True
     models = 0
@@ -480,6 +502,10 @@ def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
 
 
 def _verify_cont(spec: JobSpec, lines: List[str]) -> bool:
+    import numpy as np
+
+    from . import oracles
+
     panel = [
         ContinuousSum.from_pairs([(0, 1), (0, 2)]),
         ContinuousSum.from_pairs([(Fraction(1, 2), Fraction(1, 2))] * 3),
@@ -510,6 +536,7 @@ def _verify_cont(spec: JobSpec, lines: List[str]) -> bool:
 
 def run_verify(spec: JobSpec):
     """Run the requested suites; returns (report_text, all_passed)."""
+    _check_draws(spec.count)
     lines: List[str] = []
     ok = True
     if spec.suite in ("all", "coeffs"):

@@ -63,21 +63,28 @@ Two evaluation modes are provided:
   double (or the exact value is 0) and inf when a nonzero value underflows
   or overflows.
 
-MEASURE_MAX = 2**20 bounds the entries each path builds: A's measure plus
-B's measure and its moment table (top exponent + 1 columns).  Only paths
-within it are taken, and a model drops a path's parts when it moves to
-another.  The bound is known before anything is built, and a model none of
-whose paths fits raises CapacityError at its first vertex sum, naming the
-smallest footprint.  So 100 identical components (101 entries) are fine,
-generic widths evaluate exactly up to n = 29 and are refused from n = 30
-(2^15 + 2^15 * 32 entries).  breakpoints() needs every key of the merged
-measure, so it builds it whole and is refused when its bound exceeds
-MEASURE_MAX, from 21 generic widths on.  The batch paths build it too, and
-from it a piece table: per key, the Taylor coefficients of the CDF and the
-density about it.  It counts n + 2 entries per key of the measure's bound,
-the rule of a moment table of top exponent n, so the batch paths are
+MEASURE_MAX = 2**20 bounds what each path builds and does: A's measure plus
+B's measure and its moment table (top exponent + 1 columns), or on the
+direct loop, which builds only the measure but raises each of its entries
+to a power of up to the top exponent at every point, the measure times
+top exponent + 1.  Only paths within it are taken, and a model drops a
+path's parts when it moves to another.  The bound is known before anything
+is built, and a model none of whose paths fits raises CapacityError at its
+first vertex sum, naming the smallest footprint.  So 100 identical
+components (101 entries, 101 * 101 terms) are fine and 1,024 are refused
+(1025 * 1025), generic widths evaluate exactly up to n = 29 and are refused
+from n = 30 (2^15 + 2^15 * 32 entries).  breakpoints() needs every key of
+the merged measure, so it builds it whole and is refused when its bound
+exceeds MEASURE_MAX, from 21 generic widths on.  The batch paths build it
+too, and from it a piece table: per key, the Taylor coefficients of the CDF
+and the density about it.  It counts n + 2 entries per key of the measure's
+bound, the rule of a moment table of top exponent n, so the batch paths are
 refused from 16 generic widths on (2^16 * 18 entries).  support, moments
 and sampling never build the measure and work at any n.
+
+Only the batch paths, density_batch and cdf_batch, use numpy, and they
+import it when first called: importing this module, and every exact or
+scalar float evaluation, loads none of it.
 """
 
 from __future__ import annotations
@@ -91,8 +98,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import MEASURE_MAX, CapacityError, ModeError
 
@@ -386,10 +391,14 @@ class VertexMeasure:
         return self._halves
 
     def _built(self, path: str) -> int:
-        """Entries a path builds: A's measure, and B's measure with its
-        moment table of top + 1 columns unless B is trivial."""
+        """Entries a path counts against MEASURE_MAX: A's measure, and B's
+        measure with its moment table of top + 1 columns unless B is trivial.
+        The direct loop builds only A's measure, but one point raises each of
+        its entries to a power of up to top, so it counts top + 1 per entry."""
         size_a, size_b = map(_bound, self._split(path))
-        return size_a if path == _DIRECT else size_a + size_b * (self.top + 2)
+        if path == _DIRECT:
+            return size_a * (self.top + 1)
+        return size_a + size_b * (self.top + 2)
 
     @cached_property
     def _plans(self) -> dict:
@@ -401,7 +410,7 @@ class VertexMeasure:
         plans = {path: tuple(map(_bound, self._split(path))) for path in _PATHS
                  if self._built(path) <= MEASURE_MAX}
         if not plans:
-            self._check(min(map(self._built, _PATHS)), "a vertex measure and moment table")
+            self._check(min(map(self._built, _PATHS)), "a vertex sum")
         return plans
 
     def _costs(self, path: str) -> tuple:
@@ -737,6 +746,8 @@ class ContinuousSum:
         coefficient of the piece left of it.  CapacityError, before anything
         is built, when the measure's bound times n + 2 exceeds MEASURE_MAX.
         """
+        import numpy as np
+
         measure, n = self._measure, self.n
         measure._check(_bound(measure.steps) * (n + 2), "a piece table")
         keys, weights = measure.full
@@ -775,6 +786,8 @@ class ContinuousSum:
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
         """The piece table of exponent n (CDF) or n - 1 (density) at xs, clamped to the support."""
+        import numpy as np
+
         knots, residuals, splits, tables = self._pieces
         columns, left = tables[exponent]
         x = np.clip(np.atleast_1d(xs).ravel(), knots[0], knots[-1])
@@ -795,6 +808,8 @@ class ContinuousSum:
 
     def density_batch(self, xs) -> np.ndarray:
         """Density at an array of points in float64, within the bound of the piece table."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         out = np.maximum(self._batch(xs, self.n - 1), 0.0)
         lo, hi = float(self._lo), float(self._hi)
@@ -802,6 +817,8 @@ class ContinuousSum:
 
     def cdf_batch(self, xs) -> np.ndarray:
         """CDF at an array of points in float64, within the bound of the piece table."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         out = np.clip(self._batch(xs, self.n), 0.0, 1.0)
         lo, hi = float(self._lo), float(self._hi)

@@ -1,11 +1,17 @@
 """End-to-end tests of the command line front end."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import helpers
+from test_cli_golden import GOLDEN, MODEL, RANGE
 from unisum import ContinuousSum, DiscreteSum, discsum
 from unisum.cli import (
     UsageError,
@@ -72,6 +78,15 @@ class TestParseArgs:
         ["frobnicate"],                                 # unknown command
         ["density", "--comp", "0:1", "--at", "0", "--bogus"],
         [],                                             # missing command
+        ["coeffs", "--n-max=-1"],                       # n_max < 1
+        ["coeffs", "--n-max", "0"],
+        ["coeffs", "--n-max=2", "--k-max=-3", "--csv"],  # k_max < 0
+        ["verify", "--suite", "coeffs", "--n-max", "0", "--k-max", "-1"],
+        ["verify", "--suite", "coeffs", "--k-max", "-1"],
+        ["verify", "--seed", "-1"],                     # seed < 0
+        ["verify", "--count", "0"],                     # count < 1
+        ["sample", "--comp=0:1", "--count=3", "--seed=-5"],
+        ["sample", "--comp=0:1", "--count=0"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
@@ -295,6 +310,12 @@ class TestOutFile:
 
 
 class TestSample:
+    @pytest.mark.parametrize("command", ["sample --comp=0:1", "verify --suite cont"])
+    def test_count_is_capped(self, capsys, command):
+        code, out, err = run(capsys, *command.split(), f"--count={10 ** 6 + 1}")
+        assert code == 1 and out == ""
+        assert err == f"error: {10 ** 6 + 1} draws exceed the limit of {10 ** 6}\n"
+
     def test_deterministic(self, capsys):
         argv = ("sample", "--comp", "0:1", "--count", "5", "--seed", "9")
         _, first, _ = run(capsys, *argv)
@@ -348,3 +369,50 @@ class TestVerify:
                            "--n-max", "3", "--k-max", "2")
         assert code == 1
         assert "MISMATCH" in out and "FAIL" in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports unisum from the source tree."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+class TestImportPath:
+    """numpy is imported by the array paths only: the batch evaluations, the
+    oracles and the sample and verify subcommands."""
+
+    def test_scalar_commands_run_without_numpy(self):
+        commands = [c for c in sorted(GOLDEN) if not c.startswith("sample")]
+        assert {c.split()[0] for c in commands} == {
+            "density", "cdf", "quantile", "pmf", "table", "coeffs"}
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy raises\n"
+            "import unisum, unisum.cli\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            "        status = unisum.cli.main(argv)\n"
+            "    out.append((status, text.getvalue()))\n"
+            "print(json.dumps(out))\n")
+        argvs = [c.format(model=MODEL, range=RANGE).split() for c in commands]
+        done = _python(code, json.dumps(argvs))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[0, GOLDEN[c]] for c in commands]
+
+    @pytest.mark.parametrize("call", [
+        "ContinuousSum.from_pairs([(0, 1)]).density_batch([0.0])",
+        "main(['sample', '--comp=0:1', '--count=2', '--seed=1'])",
+    ])
+    def test_array_paths_import_numpy(self, call):
+        code = ("import sys\n"
+                "from unisum import ContinuousSum\n"
+                "from unisum.cli import main\n"
+                "assert 'numpy' not in sys.modules\n"
+                f"{call}\n"
+                "assert 'numpy' in sys.modules\n")
+        done = _python(code)
+        assert done.returncode == 0, done.stderr

@@ -295,6 +295,13 @@ class TestModesAndValidation:
         hundred = ContinuousSum.from_pairs([(0, 1)] * 100)
         assert hundred.moments() == (0, F(100, 3))
         assert len(hundred._measure.full[0]) == 101
+        # n identical components: the direct loop raises n + 1 entries to the
+        # power n at one cdf point, (n + 1)**2 terms, so 1,023 fit and 1,024
+        # are refused
+        assert ContinuousSum.from_pairs([(0, 1)] * 1023).cdf(0).value == HALF
+        identical = ContinuousSum.from_pairs([(0, 1)] * 1024)
+        for call in (lambda: identical.density_tau(0), lambda: identical.cdf(0)):
+            helpers.assert_refused_unbuilt(call, 1025 ** 2)
 
     def test_exact_mode_rejects_non_finite(self):
         with pytest.raises(ModeError):

@@ -193,3 +193,7 @@ class TestModel:
         pow2 = DiscreteSum.from_half_ranges(helpers.POW2_31)
         helpers.assert_refused_unbuilt(lambda: pow2.pmf_tau(0), 65 * 2 ** 15)
         helpers.assert_identical_components_work()
+        # 1,024 identical components: 1,025 entries times 1,024 powers (top
+        # exponent n - 1) on the direct loop
+        identical = DiscreteSum.from_half_ranges([1] * 1024)
+        helpers.assert_refused_unbuilt(lambda: identical.pmf_tau(0), 1025 * 1024)
