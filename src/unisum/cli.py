@@ -8,11 +8,10 @@ flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
 full pmf support, may hold at most 10**6 points, and sample and verify may
-draw at most 10**6 values (--count); a model whose vertex sums would build
-or do more than MEASURE_MAX entries (from 30 generic widths, or 1,024
-identical ones, on) fails at its first point.  All three exit with 1.
---n-max must be at least 1, --k-max and --seed at least 0, and --count at
-least 1; anything else is a usage error (exit 2).
+draw at most 10**6 values (--count); a model over the capacity rule stated
+above MEASURE_MAX in errors.py fails at its first point.  All three exit
+with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
+--count at least 1; anything else is a usage error (exit 2).
 
 Only sample and verify import numpy, through the oracles module, when they
 run; the other subcommands are pure integer and Fraction code, and

@@ -25,7 +25,22 @@ components whose sign is +1, the parity weights of all vertices with the
 same argument add up to one coefficient of prod_j (z^(2 a_j) - 1), the
 box-spline view of de Boor, Hollig and Riemenschneider (Box Splines, 1993).
 Each model holds that merged signed vertex measure as a VertexMeasure, and
-every closed form in the package is one call of VertexMeasure.sum over it.
+every closed form in the package is made of tau sums over it
+(VertexMeasure.sum), the only step form the engine knows.
+
+The mirror identity.  With K the sum of the legs, the weight of key K - k
+is (-1)^n times that of key k.  As y^e = y_+^e + (-1)^e (-y)_+^e exactly,
+at y = 0 too (for e = 0 by tau(0) = 1/2), the plain and the sign-weighted
+sums are tau sums T at the start s and the mirrored start -s - K:
+
+    sum_k w_k (s + k)^e             = T(s) + (-1)^(e+n) T(-s - K),
+    sum_k w_k sign(s + k) (s + k)^e = T(s) - (-1)^(e+n) T(-s - K).
+
+The start of x is x - hi, and its mirror lo - x is the start of
+lo + hi - x.  So the sign-form density at x is the mean of the tau density
+at x and at lo + hi - x, and the vanishing alternating sum is
+T(x - hi) - T(lo - x) at e = n - 1.
+
 The measure factors as A (x) B for any split of the legs into two groups,
 and the sum runs over A only, against suffix moments of B (powers of B's
 keys summed from each position on, cached up to the model's top exponent)
@@ -63,24 +78,8 @@ Two evaluation modes are provided:
   double (or the exact value is 0) and inf when a nonzero value underflows
   or overflows.
 
-MEASURE_MAX = 2**20 bounds what each path builds and does: A's measure plus
-B's measure and its moment table (top exponent + 1 columns), or on the
-direct loop, which builds only the measure but raises each of its entries
-to a power of up to the top exponent at every point, the measure times
-top exponent + 1.  Only paths within it are taken, and a model drops a
-path's parts when it moves to another.  The bound is known before anything
-is built, and a model none of whose paths fits raises CapacityError at its
-first vertex sum, naming the smallest footprint.  So 100 identical
-components (101 entries, 101 * 101 terms) are fine and 1,024 are refused
-(1025 * 1025), generic widths evaluate exactly up to n = 29 and are refused
-from n = 30 (2^15 + 2^15 * 32 entries).  breakpoints() needs every key of
-the merged measure, so it builds it whole and is refused when its bound
-exceeds MEASURE_MAX, from 21 generic widths on.  The batch paths build it
-too, and from it a piece table: per key, the Taylor coefficients of the CDF
-and the density about it.  It counts n + 2 entries per key of the measure's
-bound, the rule of a moment table of top exponent n, so the batch paths are
-refused from 16 generic widths on (2^16 * 18 entries).  support, moments
-and sampling never build the measure and work at any n.
+What each path may build and do is bounded by the capacity rule stated
+once above MEASURE_MAX in errors.py.
 
 Only the batch paths, density_batch and cdf_batch, use numpy, and they
 import it when first called: importing this module, and every exact or
@@ -232,10 +231,6 @@ def _result(exact: Fraction, mode: EvalMode) -> EvalResult:
 # The merged signed vertex measure
 # ---------------------------------------------------------------------------
 
-_TAU = 0
-_SIGN = 1
-_RAW = 2
-
 # The three ways of splitting the measure into A (x) B: A is the whole
 # measure and B trivial (_DIRECT), A trivial and B the whole measure
 # (_TABLE), or each a half of the distinct legs (_SPLIT).
@@ -328,8 +323,8 @@ class VertexMeasure:
 
     The legs are positive rationals over the common denominator den; a key k
     stands for the argument offset k / den.  top is the largest exponent the
-    model evaluates.  sum() evaluates every closed form over the measure,
-    factored as A (x) B by splitting the legs in two:
+    model evaluates.  sum() evaluates the tau sum of every closed form over
+    the measure, factored as A (x) B by splitting the legs in two:
 
         sum_a w_a sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
 
@@ -366,7 +361,7 @@ class VertexMeasure:
     def full(self) -> tuple:
         """(keys, weights) of the whole merged measure, for breakpoints and the batch paths.
 
-        Refused with CapacityError when its bound exceeds MEASURE_MAX.
+        Checked against the capacity rule (errors.MEASURE_MAX) first.
         """
         self._check(_bound(self.steps), "a vertex measure")
         return _vertex_measure(self.steps)
@@ -391,10 +386,7 @@ class VertexMeasure:
         return self._halves
 
     def _built(self, path: str) -> int:
-        """Entries a path counts against MEASURE_MAX: A's measure, and B's
-        measure with its moment table of top + 1 columns unless B is trivial.
-        The direct loop builds only A's measure, but one point raises each of
-        its entries to a power of up to top, so it counts top + 1 per entry."""
+        """Entries a path counts under the capacity rule stated above errors.MEASURE_MAX."""
         size_a, size_b = map(_bound, self._split(path))
         if path == _DIRECT:
             return size_a * (self.top + 1)
@@ -402,11 +394,8 @@ class VertexMeasure:
 
     @cached_property
     def _plans(self) -> dict:
-        """path -> (bound of A, bound of B) for each path whose build fits MEASURE_MAX.
-
-        CapacityError, naming the smallest build, when no path fits; nothing
-        is built before that.
-        """
+        """path -> (bound of A, bound of B) for each path that the capacity rule
+        stated above errors.MEASURE_MAX admits; CapacityError if it admits none."""
         plans = {path: tuple(map(_bound, self._split(path))) for path in _PATHS
                  if self._built(path) <= MEASURE_MAX}
         if not plans:
@@ -478,15 +467,16 @@ class VertexMeasure:
             self._parts[path] = parts
         return parts
 
-    def sum(self, start, exponent: int, form: int, path: str | None = None) -> Fraction:
-        """sum over the measure of w * phi(start + key / den), exactly.
+    def sum(self, start, exponent: int, path: str | None = None) -> Fraction:
+        """sum over the measure of w * (start + key / den)_+^exponent, exactly.
 
-        phi(y) is y^exponent * tau(y) (_TAU), y^exponent * sign(y) (_SIGN) or
-        plain y^exponent (_RAW, with 0^0 = 1), for exponent <= top.  start
-        is a rational or an int.  Keys and start are brought to one
-        denominator, so the work is on integers; the arguments ascend with
-        the keys, which locates the zero arguments by bisection.  path
-        forces one of _DIRECT, _TABLE and _SPLIT; by default _choose does.
+        y_+^e is y^e * tau(y) with tau(0) = 1/2, for exponent <= top; plain
+        and sign-weighted sums are tau sums at the mirrored start (the
+        mirror identity of the module docstring).  start is a rational or
+        an int.  Keys and start are brought to one denominator, so the work
+        is on integers; the arguments ascend with the keys, which locates
+        the zero arguments by bisection.  path forces one of _DIRECT,
+        _TABLE and _SPLIT; by default _choose does.
         """
         with self._lock:
             a_keys, a_weights, b_keys, rows = self._build(path or self._choose())
@@ -496,26 +486,18 @@ class VertexMeasure:
         m = scale // self.den
         e = exponent
         if rows is None:
-            return Fraction(_direct_twice(a_keys, a_weights, s, m, e, form),
-                            2 * scale ** e)
+            return Fraction(_direct_twice(a_keys, a_weights, s, m, e), 2 * scale ** e)
         coef = [math.comb(e, j) * m ** j for j in range(e + 1)]
-        total, zero = rows[0], rows[-1]
+        zero = rows[-1]
         twice = 0
         for a, w in zip(a_keys, a_weights):
             t = s + m * a
-            if form == _RAW:
-                row = total
-            else:
-                pos = bisect_right(b_keys, (-t) // m)  # B's args from pos on are > 0
-                row = rows[pos]
-                if form == _SIGN:
-                    neg = rows[bisect_left(b_keys, -(t // m))]
-                    row = [p + q - r for p, q, r in zip(row, neg, total)]
-                elif e == 0:
-                    # tau(0) = 1/2: half the weight of the zero arguments
-                    twice += w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
-                if row is zero:
-                    continue
+            row = rows[bisect_right(b_keys, (-t) // m)]  # B's args from there on are > 0
+            if e == 0:
+                # tau(0) = 1/2: half the weight of the zero arguments
+                twice += w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
+            if row is zero:
+                continue
             acc = 0
             for c, v in zip(coef, row):
                 acc = acc * t + c * v
@@ -523,23 +505,14 @@ class VertexMeasure:
         return Fraction(twice, 2 * scale ** e)
 
 
-def _direct_twice(keys: tuple, weights: tuple, s: int, m: int, e: int, form: int) -> int:
-    """Twice sum over keys of w * phi(s + m * key), one power per entry."""
-    neg = bisect_left(keys, -(s // m))   # keys before neg have arguments < 0
+def _direct_twice(keys: tuple, weights: tuple, s: int, m: int, e: int) -> int:
+    """Twice sum over keys of w * (s + m * key)_+^e, one power per entry."""
     pos = bisect_right(keys, (-s) // m)  # keys from pos on have arguments > 0
-
-    def part(lo, hi):
-        return sum(w * (s + m * k) ** e for k, w in zip(keys[lo:hi], weights[lo:hi]))
-
-    if form == _TAU:
-        # tau(0) = 1/2 matters for exponent 0 only
-        twice = 2 * part(pos, len(keys))
-        if e == 0:
-            twice += sum(weights[neg:pos])
-        return twice
-    if form == _SIGN:
-        return 2 * (part(pos, len(keys)) - part(0, neg))
-    return 2 * part(0, len(keys))
+    twice = 2 * sum(w * (s + m * k) ** e for k, w in zip(keys[pos:], weights[pos:]))
+    if e == 0:
+        # tau(0) = 1/2: half the weight of the zero arguments
+        twice += sum(weights[bisect_left(keys, -(s // m)):pos])
+    return twice
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +576,8 @@ class ContinuousSum:
     def _width_product(self) -> Fraction:
         return math.prod(c.half_width for c in self.components)
 
-    def _norm(self, exponent: int, extra_pow2: int = 0) -> Fraction:
-        return (math.factorial(exponent) * 2 ** (self.n + extra_pow2)
-                * self._width_product)
+    def _norm(self, exponent: int) -> Fraction:
+        return math.factorial(exponent) * 2 ** self.n * self._width_product
 
     # -- simple statistics -------------------------------------------------
 
@@ -625,23 +597,20 @@ class ContinuousSum:
         These are the subset sums of the legs 2 a_j whose merged weight does
         not cancel; a subset sum whose weight is 0 is no kink (legs 1, 2, 3
         leave none at lo + 3).  Up to 2^n points; the whole measure is
-        built, and refused with CapacityError when its bound exceeds
-        MEASURE_MAX.
+        built, under the capacity rule (errors.MEASURE_MAX).
         """
         keys, _ = self._measure.full
         return [self._lo + Fraction(k, self._measure.den) for k in keys]
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def _eval(self, x, mode: EvalMode, exponent: int, form: int,
-              extra_pow2: int, below, above) -> EvalResult:
-        xf = _point(x, mode)
+    def _eval(self, xf: Fraction, exponent: int, above: int) -> Fraction:
+        """The tau form at the rational xf: 0 below the support, `above` past it."""
         if xf < self._lo:
-            return _result(Fraction(below), mode)
+            return Fraction(0)
         if xf > self._hi:
-            return _result(Fraction(above), mode)
-        raw = self._measure.sum(xf - self._hi, exponent, form)
-        return _result(raw / self._norm(exponent, extra_pow2), mode)
+            return Fraction(above)
+        return self._measure.sum(xf - self._hi, exponent) / self._norm(exponent)
 
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """Density at x via the step-function (tau) form of the vertex sum.
@@ -649,16 +618,17 @@ class ContinuousSum:
         Exactly 0 outside the closed support.  At the jump points of an
         n = 1 sum the value is the midpoint 1/(4a).
         """
-        return self._eval(x, mode, self.n - 1, _TAU, 0, 0, 0)
+        return _result(self._eval(_point(x, mode), self.n - 1, 0), mode)
 
     def density_sign(self, x, mode: EvalMode = EXACT) -> EvalResult:
-        """Density at x via the sign-function form.
-
-        Mathematically identical to density_tau (the two differ by half the
-        vanishing alternating sum); in exact mode the results are equal as
-        rationals.
+        """Density at x via the sign-function form: by the mirror identity
+        (module docstring) the exact mean of the tau form at x and at
+        lo + hi - x, rounded once in float mode.  Equal to density_tau as a
+        rational (the two differ by half the vanishing alternating sum).
         """
-        return self._eval(x, mode, self.n - 1, _SIGN, 1, 0, 0)
+        xf, e = _point(x, mode), self.n - 1
+        mirror = self._eval(self._lo + self._hi - xf, e, 0)
+        return _result((self._eval(xf, e, 0) + mirror) / 2, mode)
 
     def cdf(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """P(S <= x): the termwise antiderivative of the vertex sum.
@@ -666,16 +636,18 @@ class ContinuousSum:
         Exactly 0 at/below the lower support end and exactly 1 at/above the
         upper end in exact mode.
         """
-        return self._eval(x, mode, self.n, _TAU, 0, 0, 1)
+        return _result(self._eval(_point(x, mode), self.n, 1), mode)
 
     def cool_identity_residual(self, x) -> Fraction:
         """The raw alternating vertex sum sum_eps (arg_eps)^(n-1) * parity.
 
-        Identically zero for every x; exposed as an exact-arithmetic test
-        hook.  Inputs must be finite rationals.
+        Summed as T(x - hi) - T(lo - x) by the mirror identity (module
+        docstring), at every x.  Identically zero; exposed as an
+        exact-arithmetic test hook.  Inputs must be finite rationals.
         """
         xf = _as_fraction(x, "x")
-        return self._measure.sum(xf - self._hi, self.n - 1, _RAW)
+        e = self.n - 1
+        return self._measure.sum(xf - self._hi, e) - self._measure.sum(self._lo - xf, e)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
@@ -683,25 +655,31 @@ class ContinuousSum:
         Each float midpoint is compared exactly: the exact cdf there against
         the exact q, so tail levels such as 1 - 1e-12 keep their precision.
         The bracket is narrowed to 2**-40 of the support width (about 40
-        iterations), far below tabulation needs.  quantile(0) and
-        quantile(1) return the exact support endpoints.
+        iterations), far below tabulation needs, or to two adjacent doubles.
+        Width and midpoint come from halves of the ends, so no support with
+        finite ends overflows; ends beyond the float range raise ValueError.
+        quantile(0) and quantile(1) return the support endpoints.
         """
         qf = _as_fraction(q, "q")
         if qf < 0 or qf > 1:
             raise ValueError(f"q must lie in [0, 1], got {q!r}")
-        lo, hi = float(self._lo), float(self._hi)
+        lo, hi = _rounded(self._lo), _rounded(self._hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"the support rounds to [{lo}, {hi}] in doubles; "
+                             "quantiles need finite ends")
         if qf == 0:
             return lo
         if qf == 1:
             return hi
-        tol = (hi - lo) * 2.0 ** -40
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+        half_tol = (0.5 * hi - 0.5 * lo) * 2.0 ** -40
+        mid = 0.5 * lo + 0.5 * hi
+        while 0.5 * hi - 0.5 * lo > half_tol and lo < mid < hi:
             if self.cdf(Fraction(mid)).value < qf:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
+        return mid
 
     # -- vectorized float evaluation ---------------------------------------
     #
@@ -720,9 +698,8 @@ class ContinuousSum:
     # so at most 4 (e + 1) 2^-53 times the table maximum: the largest such
     # sum over the table with |z| half the piece's length.  Results below 0
     # (density) or outside [0, 1] (CDF) are clamped, which only shrinks the
-    # error.  The table holds 2 n + 3 coefficients per knot; it counts n + 2
-    # entries per key of the measure's bound against MEASURE_MAX, like a
-    # moment table of top exponent n, checked before anything is built.
+    # error.  The table holds 2 n + 3 coefficients per knot, under the
+    # capacity rule (errors.MEASURE_MAX).
 
     @cached_property
     def _unit(self) -> Fraction:
@@ -743,8 +720,8 @@ class ContinuousSum:
         that rounding left off, and splits[i] a point between knots i and
         i + 1 (inf for the last).  columns[r][i] is the coefficient of z^r
         about knot i of the piece right of it, left tops[i] the top
-        coefficient of the piece left of it.  CapacityError, before anything
-        is built, when the measure's bound times n + 2 exceeds MEASURE_MAX.
+        coefficient of the piece left of it.  Checked against the capacity
+        rule (errors.MEASURE_MAX) before anything is built.
         """
         import numpy as np
 

@@ -10,10 +10,9 @@ M = prod_j 1 / (2 m_j + 1), the mass function of the sum at an integer p is
 
 where y_+^e = y^e * tau(y) with tau(0) = 1/2, and B(n, k) is the coefficient
 of x^(2k-n) in the Laurent expansion of (1 / sin x)^n.  An equivalent form
-replaces tau by the sign function and 2^(n-1) by 2^n.  The inner vertex
-arguments are integers with the parity of n, so for odd n they are never
-zero and the two step conventions trivially agree; for even n the agreement
-follows from the vanishing of the unweighted alternating sums.
+replaces tau by the sign function and 2^(n-1) by 2^n; by the mirror
+identity of the contsum module docstring it is the mean of the tau form at
+p and at -p.  The vertex sums are tau sums over the model's VertexMeasure.
 
 Everything here is computed in exact rational arithmetic: the inputs are
 integers, the Laurent coefficients are rationals, and the alternating
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable
 
-from .contsum import _SIGN, _TAU, VertexMeasure
+from .contsum import VertexMeasure
 
 __all__ = [
     "DiscreteComponent",
@@ -77,6 +76,17 @@ def csc_coefficient(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+def _lattice_point(p) -> int:
+    """p as an int; ValueError unless it is integral."""
+    try:
+        point = Fraction(p)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"p must be an integer, got {p!r}") from exc
+    if point.denominator != 1:
+        raise ValueError(f"p must be an integer, got {p!r}")
+    return point.numerator
+
 
 @dataclass(frozen=True)
 class DiscreteComponent:
@@ -137,28 +147,22 @@ class DiscreteSum:
         up to the largest exponent n - 1."""
         return VertexMeasure([2 * c.count for c in self.components], self.n - 1)
 
-    def _pmf(self, p, form: int, pow2: int) -> Fraction:
-        """The outer Laurent sum over k of the vertex sums with exponent n-2k-1.
+    def _pmf(self, point: int) -> Fraction:
+        """The outer Laurent sum over k of the tau sums with exponent n-2k-1.
 
         The vertex arguments are integers of the parity of n, so the tau
         weight never meets a zero argument with exponent 0 (that needs odd
         n, whose arguments are odd).
         """
-        try:
-            point = Fraction(p)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"p must be an integer, got {p!r}") from exc
-        if point.denominator != 1:
-            raise ValueError(f"p must be an integer, got {p!r}")
         n = self.n
-        start = 2 * point.numerator - sum(c.count for c in self.components)
+        start = 2 * point - sum(c.count for c in self.components)
         total = Fraction(0)
         for k in range((n - 1) // 2 + 1):
             e = n - 2 * k - 1
-            s = self._measure.sum(start, e, form)
+            s = self._measure.sum(start, e)
             if s:
                 total += (-1) ** k * csc_coefficient(n, k) * s / math.factorial(e)
-        return self.mass_norm / 2 ** pow2 * total
+        return self.mass_norm / 2 ** (n - 1) * total
 
     # -- public operations ---------------------------------------------------
 
@@ -168,11 +172,13 @@ class DiscreteSum:
         p must be integral (an int, or a float or Fraction equal to one);
         anything else raises ValueError.
         """
-        return self._pmf(p, _TAU, self.n - 1)
+        return self._pmf(_lattice_point(p))
 
     def pmf_sign(self, p: int) -> Fraction:
-        """P(S = p) via the sign-function form; equals pmf_tau exactly."""
-        return self._pmf(p, _SIGN, self.n)
+        """P(S = p) via the sign-function form, the mean of the tau form at p
+        and -p (the mirror identity, contsum module docstring); equals pmf_tau."""
+        point = _lattice_point(p)
+        return (self._pmf(point) + self._pmf(-point)) / 2
 
     def pmf_full(self) -> Dict[int, Fraction]:
         """The whole PMF on [-span, span]; values sum to exactly 1."""

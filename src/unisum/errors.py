@@ -1,37 +1,40 @@
 """Shared exception types and the global capacity limit on the vertex measure."""
 
-# Size budget of what a vertex sum builds.  Before anything is built, the
-# entries of a merged vertex measure are bounded by min(prod over distinct
-# integer legs of (multiplicity + 1), sum of legs + 1).  A vertex sum builds
-# the measure of one group of legs A, and unless that is all of them, the
-# measure of the rest B with its moment table of (top exponent + 1) columns;
-# the sum of those bounds must not exceed MEASURE_MAX.  When A is all of
-# them (the direct loop), nothing more is built, but every point raises each
-# entry to a power of up to the top exponent, so A's bound times (top
-# exponent + 1) must not exceed it: 1,023 identical components are admitted
-# and 1,024 refused (1025 * 1025 continuous, 1025 * 1024 discrete).
-# breakpoints() builds the whole measure, whose bound must not exceed it
-# either.  The batch paths build the whole measure and a piece table from
-# it, Taylor coefficients of the CDF and density about each key, counted
-# like a moment table: the bound times (n + 2) must not exceed MEASURE_MAX,
-# which refuses 16 generic widths (2**16 * 18 entries) and admits 15.
-# 29 generic continuous widths (2**14 + 2**15 * 31 entries) are admitted and
-# take about 0.8 s to the first exact cdf and 175 MB of peak RSS; 30 are
-# refused.  A generic whole measure of 2**20 entries takes about 2.5 s and
-# 230 MB of peak RSS (both on CPython 3.11, a 2-core x86-64 machine).
+# The capacity rule, stated here once.  Vertex sums, breakpoints() and the
+# batch paths check what they would build and do against MEASURE_MAX before
+# anything is built, and raise CapacityError with the size if it does not
+# fit.  A merged vertex measure has at most min(prod over distinct integer
+# legs of (multiplicity + 1), sum of legs + 1) entries, the legs 2 a_j (or
+# 2 (2 m_j + 1)) counted in units of their common denominator.
+# * A vertex sum splits the legs into A and B and builds A's measure and,
+#   unless B is trivial, B's measure with a moment table of top exponent + 1
+#   columns: A's bound plus B's bound times (top exponent + 2) must fit.  If
+#   A is all of them (the direct loop), nothing more is built, but each
+#   point raises every entry to a power of up to the top exponent: A's bound
+#   times (top exponent + 1) must fit.  Only fitting splits are taken, and a
+#   model drops a split's parts when it moves on; with none, the first
+#   density, CDF or PMF is refused, naming the smallest size.  1,023
+#   identical components are admitted, 1,024 refused (1025 * 1025
+#   continuous, 1025 * 1024 discrete).  29 generic continuous widths
+#   (2**14 + 2**15 * 31 entries) take about 0.8 s to the first exact cdf and
+#   175 MB of peak RSS; 30 are refused.
+# * breakpoints() builds the whole measure, whose bound must fit: refused
+#   from 21 generic widths on (2**20 generic entries take about 2.5 s and
+#   230 MB of peak RSS).
+# * The batch paths build the whole measure and a piece table, the Taylor
+#   coefficients of the CDF and density about each key: the bound times
+#   (n + 2) must fit, which admits 15 generic widths and refuses 16
+#   (2**16 * 18 entries).
+# * support, moments and sampling never build the measure and work at any n.
+# Timings on CPython 3.11, a 2-core x86-64 machine.
 MEASURE_MAX = 2 ** 20
 
 
 class CapacityError(ValueError):
     """An operation would exceed a documented size limit.
 
-    Vertex sums raise it when no split of the vertex measure fits
-    MEASURE_MAX entries: A's measure plus B's measure and moment table, or
-    A's measure times the top exponent + 1 when A is the whole measure.
-    breakpoints() raises it when the whole merged measure's bound exceeds
-    MEASURE_MAX, and the batch paths when that bound times n + 2, the size
-    of their piece table, does.  The message gives the size, and it is
-    raised before any entry is built.
+    For vertex sums, breakpoints() and the batch paths, that limit is the
+    capacity rule stated once above MEASURE_MAX.
     """
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .contsum import ContinuousSum
+from .contsum import ContinuousSum, _rounded
 from .discsum import DiscreteSum
 from .errors import CapacityError
 
@@ -175,13 +175,25 @@ def sample_sum(csum: ContinuousSum, count: int, seed: int) -> np.ndarray:
     """Draw `count` independent realizations of the sum, reproducibly.
 
     The seed fixes the stream: equal (csum, count, seed) give equal output.
+    ValueError, before any draw, unless every component's width and the
+    ends of the sum of the first j components, for every j, round to finite
+    doubles.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    lo = hi = 0
+    ends = []
+    for comp in csum.components:
+        lo, hi = lo + comp.lo, hi + comp.hi
+        a, b = _rounded(comp.lo), _rounded(comp.hi)
+        if not all(map(math.isfinite, (b - a, _rounded(lo), _rounded(hi)))):
+            support = [_rounded(v) for v in csum.support()]
+            raise ValueError(f"draws of the sum on {support} leave the float range")
+        ends.append((a, b))
     rng = np.random.default_rng(seed)
     total = np.zeros(count)
-    for comp in csum.components:
-        total += rng.uniform(float(comp.lo), float(comp.hi), size=count)
+    for a, b in ends:
+        total += rng.uniform(a, b, size=count)
     return total
 
 

@@ -158,6 +158,13 @@ class TestPointCommands:
         code, out, err = run(capsys, command, "--comp", "0:1", "--at", "1e400", "--float")
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [["quantile", "--comp=0:1e400", "--q=1/2"],
+                                      ["sample", "--comp=0:1e308", "--count=3"]])
+    def test_model_beyond_float_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCsv:
     def test_density_csv_range(self, capsys):

@@ -1,5 +1,6 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
+import math
 import random
 import sys
 import threading
@@ -27,7 +28,6 @@ from unisum import (
 
 HALF = F(1, 2)
 PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
-FORMS = {"tau": contsum._TAU, "sign": contsum._SIGN, "raw": contsum._RAW}
 UNIT_BOX = ContinuousSum.from_pairs([(0, 1)])
 TWO_MIXED = ContinuousSum.from_pairs([(0, 1), (0, 2)])
 TRIANGLE = ContinuousSum.from_pairs([(HALF, HALF), (HALF, HALF)])  # two U[0,1]
@@ -154,6 +154,31 @@ class TestQuantile:
         lo, hi = s.support()
         w = (hi - lo) * F(1, 2 ** 40)
         assert s.cdf(x - w).value <= q <= s.cdf(x + w).value
+
+    @pytest.mark.parametrize("pairs", [[(0, 8e307)] * 2, [(1.35e308, 3.5e307)]])
+    @pytest.mark.parametrize("q", [F(1, 10), HALF, F(9, 10)])
+    def test_support_at_float_range_edge(self, pairs, q):
+        # neither the width 3.2e308 nor the sum of the ends 2.7e308 is a double
+        s = ContinuousSum.from_pairs(pairs)
+        x = F(s.quantile(q))
+        lo, hi = s.support()
+        w = (hi - lo) * F(1, 2 ** 40)
+        assert s.cdf(x - w).value <= q <= s.cdf(x + w).value
+
+    def test_bracket_of_adjacent_doubles(self):
+        # 2**-40 of this support is far below one ulp of 1: the bisection
+        # stops at two adjacent doubles
+        s = ContinuousSum.from_pairs([(1, 1e-10)])
+        for q in (F(3, 10), F(9, 10)):
+            x = s.quantile(q)
+            assert s.cdf(F(math.nextafter(x, -math.inf))).value <= q <= \
+                s.cdf(F(math.nextafter(x, math.inf))).value
+
+    def test_support_beyond_float_range(self):
+        s = ContinuousSum.from_pairs([(0, F(10) ** 400)])
+        for q in (0, HALF, 1):
+            with pytest.raises(ValueError, match="support rounds to"):
+                s.quantile(q)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -413,17 +438,15 @@ class TestBruteForceReference:
             assert s.cool_identity_residual(x) == \
                 helpers.brute_continuous(pairs, x, "cool_identity_residual") == 0
 
-        # every split of the measure, forced on the same model: the raw vertex
-        # sums in arguments x - hi + key / den, which is x - sum c_j + sum eps_j a_j
+        # every split of the measure, forced on the same model: the tau sums in
+        # arguments x - hi + key / den, which is x - sum c_j + sum eps_j a_j,
+        # and the raw and sign sums by the mirror identity
         n = len(pairs)
         centre = sum(F(c) for c, _ in pairs)
+        avec = [F(a) for _, a in pairs]
         for x in (on_kink, off_kink):
-            for e, form in ((n - 1, "tau"), (n - 1, "sign"), (n, "tau"), (n - 1, "raw"),
-                            (0, "tau")):
-                want = helpers.brute_vertex_sum(x - centre, [F(a) for _, a in pairs], e, form)
-                for path in PATHS:
-                    assert s._measure.sum(x - hi, e, FORMS[form], path=path) == want, \
-                        (path, e, form, x)
+            for e in (0, n - 1, n):
+                assert_mirror_identities(s._measure, x - hi, e, x - centre, avec)
 
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
@@ -444,11 +467,28 @@ class TestBruteForceReference:
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
         counts = [2 * m + 1 for m in ms]
         for e in range(len(ms) - 1, -1, -2):
-            for form in ("tau", "sign"):
-                want = helpers.brute_vertex_sum(2 * p, counts, e, form)
-                for path in PATHS:
-                    assert d._measure.sum(2 * p - sum(counts), e, FORMS[form],
-                                          path=path) == want, (path, e, form, p)
+            want = helpers.brute_vertex_sum(2 * p, counts, e, "tau")
+            for path in PATHS:
+                assert d._measure.sum(2 * p - sum(counts), e, path=path) == want, (path, e, p)
+        # the raw sum at e = n is not zero, so the measure needs one more exponent
+        measure = contsum.VertexMeasure([2 * c for c in counts], len(ms))
+        for e in (0, len(ms) - 1, len(ms)):
+            assert_mirror_identities(measure, 2 * p - sum(counts), e, 2 * p, counts)
+
+
+def assert_mirror_identities(measure, start, e, shift, half_widths):
+    """On every forced path: the tau sum T(start), and T(start) +/-
+    (-1)^(e+n) T(-start - K), K the sum of the legs, equal the brute-force
+    tau, raw and sign sums of helpers.brute_vertex_sum(shift, half_widths)."""
+    mirror = -start - F(sum(measure.steps.elements()), measure.den)
+    sign = (-1) ** (e + measure.n)
+    want = {form: helpers.brute_vertex_sum(shift, half_widths, e, form)
+            for form in ("tau", "raw", "sign")}
+    for path in PATHS:
+        at, across = measure.sum(start, e, path=path), measure.sum(mirror, e, path=path)
+        assert at == want["tau"], (path, e, start)
+        assert at + sign * across == want["raw"], (path, e, start)
+        assert at - sign * across == want["sign"], (path, e, start)
 
 
 def _grid_model(seed, n):
@@ -495,8 +535,7 @@ class TestVertexPaths:
             start = lo - hi + (hi - lo) * F(i, points + 1)
             spent.append(measure._spent)
             taken.append(measure._choose())
-            assert measure.sum(start, model.n, contsum._TAU) == \
-                model._measure.sum(start, model.n, contsum._TAU, path=first)
+            assert measure.sum(start, model.n) == model._measure.sum(start, model.n, path=first)
         assert taken[0] == first and taken[-1] == last
         assert taken == sorted(taken, key=taken.index)  # no path returns
         assert set(measure._parts) == {last}

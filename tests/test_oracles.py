@@ -156,6 +156,14 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_sum(s, 0, seed=1)
 
+    @pytest.mark.parametrize("pairs", [[(0, 1e308)],                       # width 2e308
+                                       [(F(10) ** 400, 1), (-F(10) ** 400, 1)],
+                                       [(1e308, 1), (1e308, 1)],        # support ends
+                                       [(1e308, 1), (1e308, 1), (-1.5e308, 1)]])
+    def test_beyond_float_range(self, pairs):
+        with pytest.raises(ValueError, match="leave the float range"):
+            sample_sum(ContinuousSum.from_pairs(pairs), 3, seed=1)
+
 
 class TestKs:
     def test_hand_value(self):
