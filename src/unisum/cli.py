@@ -116,8 +116,7 @@ def _comp_pair(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected c:a, got {text!r}")
-    c = _rational(parts[0])
-    a = _rational(parts[1])
+    c, a = map(_rational, parts)
     if a <= 0:
         raise argparse.ArgumentTypeError(f"half-width must be > 0 in {text!r}")
     return (c, a)
@@ -395,10 +394,6 @@ def _run_points(spec: JobSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_quantile(spec: JobSpec) -> str:
-    return repr(spec.continuous.quantile(spec.q)) + "\n"
-
-
 def run_table(spec: JobSpec) -> str:
     """Five-decimal CDF table over the requested grid (default: the support)."""
     csum = spec.continuous
@@ -456,20 +451,18 @@ def _verify_coeffs(spec: JobSpec, lines: List[str]) -> bool:
     from . import oracles
 
     ok = True
-    count = 0
     for n in range(1, spec.n_max + 1):
         oracle = oracles.csc_series_oracle(n, spec.k_max)
         for k in range(spec.k_max + 1):
             formula = discsum.csc_coefficient(n, k)
-            count += 1
             if spec.suite == "coeffs":
                 lines.append(f"b(n={n}, k={k}) = {formula}")
             if formula != oracle[k]:
                 ok = False
                 lines.append(
                     f"MISMATCH b(n={n}, k={k}): formula {formula}, series {oracle[k]}")
-    lines.append(f"suite coeffs: {'PASS' if ok else 'FAIL'} "
-                 f"(n<=:{spec.n_max}, k<=:{spec.k_max}, {count} entries)")
+    lines.append(f"suite coeffs: {'PASS' if ok else 'FAIL'} (n<=:{spec.n_max}, "
+                 f"k<=:{spec.k_max}, {spec.n_max * (spec.k_max + 1)} entries)")
     return ok
 
 
@@ -480,11 +473,9 @@ def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
 
     rng = random.Random(spec.seed)
     ok = True
-    models = 0
     for _ in range(25):
         n = rng.randint(1, 5)
         dsum = DiscreteSum.from_half_ranges([rng.randint(0, 4) for _ in range(n)])
-        models += 1
         oracle = oracles.discrete_conv_oracle(dsum)
         full = dsum.pmf_full()
         if sum(full.values()) != 1:
@@ -496,7 +487,7 @@ def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
                 lines.append(f"MISMATCH pmf({p}) for {dsum}")
                 break
     lines.append(f"suite disc: {'PASS' if ok else 'FAIL'} "
-                 f"({models} models, exhaustive over support)")
+                 "(25 models, exhaustive over support)")
     return ok
 
 
@@ -555,7 +546,7 @@ def run_verify(spec: JobSpec):
 _RUNNERS = {
     "density": _run_points,
     "cdf": _run_points,
-    "quantile": _run_quantile,
+    "quantile": lambda spec: repr(spec.continuous.quantile(spec.q)) + "\n",
     "pmf": _run_points,
     "table": run_table,
     "coeffs": _run_coeffs,

@@ -16,17 +16,16 @@ n, replace (n-1)! by n!.  Every term vanishes below the support, so no
 constant of integration is needed, and the same vanishing identity forces the
 value 1 above the support.
 
-Densities at the finitely many jump points (only n = 1 has jumps) take the
-midpoint value, e.g. 1/(4a) at the edges of a single uniform.
-
 The vertices enter the sum only through their arguments.  Writing the
 argument of a vertex as x - sum_j (c_j + a_j) plus the legs 2 a_j of the
 components whose sign is +1, the parity weights of all vertices with the
 same argument add up to one coefficient of prod_j (z^(2 a_j) - 1), the
 box-spline view of de Boor, Hollig and Riemenschneider (Box Splines, 1993).
 Each model holds that merged signed vertex measure as a VertexMeasure, and
-every closed form in the package is made of tau sums over it
-(VertexMeasure.sum), the only step form the engine knows.
+every closed form in the package is the tau sum over it of one polynomial
+of the model, over one norm (VertexMeasure.sum): y^(n-1) and y^n over
+e! 2^n prod_j a_j for the density and the CDF, and the Laurent polynomial
+of the discrete PMF (discsum).  Tau is the only step form the engine knows.
 
 The mirror identity.  With K the sum of the legs, the weight of key K - k
 is (-1)^n times that of key k.  As y^e = y_+^e + (-1)^e (-y)_+^e exactly,
@@ -46,21 +45,18 @@ and the sum runs over A only, against suffix moments of B (powers of B's
 keys summed from each position on, cached up to the model's top exponent)
 that one bisection per entry of A locates.  Three splits are used:
 
-* Direct loop (B trivial): one power per entry of the whole merged measure,
-  nothing built but the measure.  It answers the first points of models
-  whose widths are commensurate, and every point of models whose table
-  would answer no faster, such as n identical components (n + 1 entries,
-  and exponents up to n).
+* Direct loop (B trivial): one power per entry of the whole merged measure
+  and term of the polynomial, nothing built but the measure.  It answers
+  the first points of commensurate widths, and every point of models whose
+  table would answer no faster, such as n identical components.
 * Meet in the middle (Horowitz and Sahni, 1974): the distinct legs split
   into two halves whose merged sizes balance, the smaller one summed over,
   the larger one tabulated.  It answers generic widths, whose 2^n vertices
-  never merge; the halves hold about 2^(n/2) entries each, and the full
-  measure is never formed.
+  never merge, from halves of about 2^(n/2) entries each.
 * Moment table (A trivial): the whole merged measure with its moments, one
-  bisection and O(e) integer operations per point.  It answers models that
-  have been asked enough points to pay for it, such as the commensurate
-  widths of a tabulation (widths on a 1/8 grid leave far fewer than 2^n
-  entries).
+  bisection and O(e) integer operations per point and term.  It answers
+  models asked enough points to pay for it, such as the commensurate widths
+  of a tabulation (widths on a 1/8 grid leave far fewer than 2^n entries).
 
 The choice counts terms (an entry built, a moment, one term of a point)
 from sizes known before anything is built, the bounds on the entries of A
@@ -69,14 +65,8 @@ far.  The first point takes the split that answers it cheapest, build
 included; a split with cheaper points takes over once the terms summed
 cover its build (rent or buy).  No count of future points is assumed.
 
-Two evaluation modes are provided:
-
-* Exact: all arithmetic in arbitrary-precision rationals.  This is the
-  reference mode; results are exact field elements.
-* Float: the exact value at the double nearest to x, rounded once to the
-  nearest double.  The condition estimate is 1.0 when that is a normal
-  double (or the exact value is 0) and inf when a nonzero value underflows
-  or overflows.
+Exact mode, the reference, computes in rationals; float mode rounds the
+exact value at the double nearest to x once (EvalResult).
 
 What each path may build and do is bounded by the capacity rule stated
 once above MEASURE_MAX in errors.py.
@@ -95,7 +85,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import MEASURE_MAX, CapacityError, ModeError
@@ -323,15 +313,14 @@ class VertexMeasure:
 
     The legs are positive rationals over the common denominator den; a key k
     stands for the argument offset k / den.  top is the largest exponent the
-    model evaluates.  sum() evaluates the tau sum of every closed form over
-    the measure, factored as A (x) B by splitting the legs in two:
+    model evaluates.  sum() evaluates the tau sum of a polynomial
+    g(y) = sum_e c_e y^e over the measure, factored as A (x) B by splitting
+    the legs in two:
 
-        sum_a w_a sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
+        sum_a w_a sum_e c_e sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
 
     where S^B_j[i] = sum over t >= i of w_t k_t^j are B's suffix moments, up
-    to top, and pos(a) is one bisection of B's keys.  Which split answers is
-    decided by _choose from the sizes the paths build and the work they have
-    done so far, never from a guess at how many points will follow.
+    to top, and pos(a) is one bisection of B's keys; _choose picks the split.
 
     Instances are built lazily and cache what they build.  The choice of a
     path, its build and the count of terms summed share one lock, so
@@ -359,20 +348,15 @@ class VertexMeasure:
 
     @cached_property
     def full(self) -> tuple:
-        """(keys, weights) of the whole merged measure, for breakpoints and the batch paths.
-
-        Checked against the capacity rule (errors.MEASURE_MAX) first.
-        """
+        """(keys, weights) of the whole merged measure, for breakpoints and the
+        batch paths; checked against the capacity rule (errors.MEASURE_MAX) first."""
         self._check(_bound(self.steps), "a vertex measure")
         return _vertex_measure(self.steps)
 
     @cached_property
     def _halves(self) -> tuple:
-        """The distinct legs in two groups whose bounds balance, smaller bound first.
-
-        Greedy: the most repeated steps first, each into the group whose
-        bound is smaller so far.
-        """
+        """The distinct legs in two groups whose bounds balance, smaller bound first:
+        the most repeated steps first, each into the group of smaller bound so far."""
         groups = (Counter(), Counter())
         for step, mult in sorted(self.steps.items(), key=lambda sm: (-sm[1], sm[0])):
             groups[_bound(groups[1]) < _bound(groups[0])][step] = mult
@@ -402,11 +386,11 @@ class VertexMeasure:
             self._check(min(map(self._built, _PATHS)), "a vertex sum")
         return plans
 
-    def _costs(self, path: str) -> tuple:
+    def _costs(self, path: str, exponents: tuple = ()) -> tuple:
         """(terms still to build, terms of one point) of a path that fits.
 
-        A point costs one term per entry of A on the direct loop, and top + 1
-        terms per entry of A against a table; a built entry or moment is one
+        A point of a polynomial with these exponents (by default the top
+        monomial) costs _terms per entry of A; a built entry or moment is one
         term.  What is cached is free: a built path, and the whole measure
         once breakpoints() or a batch path has made it.
         """
@@ -416,7 +400,7 @@ class VertexMeasure:
             size_a = len(whole[0])
         if whole and path == _TABLE:
             size_b = len(whole[0])
-        point = size_a if path == _DIRECT else size_a * (self.top + 1)
+        point = size_a * _terms(path == _DIRECT, exponents or (self.top,))
         if path in self._parts:
             return 0, point
         if path == _DIRECT:
@@ -424,8 +408,9 @@ class VertexMeasure:
         measures = size_b if path == _TABLE and whole else size_a + size_b
         return measures + size_b * (self.top + 1), point
 
-    def _choose(self) -> str:
-        """The path the next sum takes; CapacityError if none fits.
+    def _choose(self, exponents: tuple = ()) -> str:
+        """The path the next sum of a polynomial with these exponents takes;
+        CapacityError if none fits.
 
         The first sum takes the path that answers one point cheapest, build
         included.  Later sums switch to a path with cheaper points as soon
@@ -436,7 +421,7 @@ class VertexMeasure:
         """
         if self._spent < self._due:
             return self._path
-        costs = {path: self._costs(path) for path in self._plans}
+        costs = {path: self._costs(path, exponents) for path in self._plans}
         path = self._path
         if path is None:
             path = min(costs, key=lambda p: sum(costs[p]))
@@ -467,52 +452,67 @@ class VertexMeasure:
             self._parts[path] = parts
         return parts
 
-    def sum(self, start, exponent: int, path: str | None = None) -> Fraction:
-        """sum over the measure of w * (start + key / den)_+^exponent, exactly.
+    def sum(self, start, poly: tuple, path: str | None = None) -> Fraction:
+        """sum over the measure of w * g_+(start + key / den), over a divisor, exactly.
 
-        y_+^e is y^e * tau(y) with tau(0) = 1/2, for exponent <= top; plain
-        and sign-weighted sums are tau sums at the mirrored start (the
-        mirror identity of the module docstring).  start is a rational or
-        an int.  Keys and start are brought to one denominator, so the work
-        is on integers; the arguments ascend with the keys, which locates
-        the zero arguments by bisection.  path forces one of _DIRECT,
-        _TABLE and _SPLIT; by default _choose does.
+        poly is (terms, divisor): g's pairs (exponent <= top, integer
+        coefficient) and a positive rational.  g_+(y) is g(y) tau(y) with
+        tau(0) = 1/2, so a zero argument takes half of g's constant term.
+        start is a rational or an int.  Over the common denominator of start
+        and the keys, raised to g's degree, the sum is one integer, divided
+        once; the arguments ascend with the keys, which locates the zero
+        ones by bisection.  path forces one of _DIRECT, _TABLE and _SPLIT;
+        by default _choose does.
         """
+        terms, divisor = poly
+        exponents = tuple(e for e, _ in terms)
         with self._lock:
-            a_keys, a_weights, b_keys, rows = self._build(path or self._choose())
-            self._spent += len(a_keys) * (1 if rows is None else exponent + 1)
+            a_keys, a_weights, b_keys, rows = self._build(path or self._choose(exponents))
+            self._spent += len(a_keys) * _terms(rows is None, exponents)
         scale = math.lcm(self.den, start.denominator)
         s = start.numerator * (scale // start.denominator)
         m = scale // self.den
-        e = exponent
-        if rows is None:
-            return Fraction(_direct_twice(a_keys, a_weights, s, m, e), 2 * scale ** e)
-        coef = [math.comb(e, j) * m ** j for j in range(e + 1)]
+        degree = max(exponents)
+        if scale != 1:
+            terms = tuple((e, c * scale ** (degree - e)) for e, c in terms)
+        const = dict(terms).get(0, 0)  # counted twice per positive argument, once per zero one
+        if rows is None:  # one power per entry and term
+            pos = bisect_right(a_keys, (-s) // m)  # keys from pos on have arguments > 0
+            twice = const * sum(a_weights[bisect_left(a_keys, -(s // m)):pos])
+            for e, c in terms:
+                twice += 2 * c * sum(w * (s + m * k) ** e
+                                     for k, w in zip(a_keys[pos:], a_weights[pos:]))
+            return Fraction(twice * divisor.denominator, 2 * scale ** degree * divisor.numerator)
+        folded = _binomial_rows(terms)  # c C(e, j) m^j per term (e, c), once per call
+        if m != 1:
+            powers = [m ** j for j in range(self.top + 1)]
+            folded = [[c * p for c, p in zip(coef, powers)] for coef in folded]
         zero = rows[-1]
         twice = 0
         for a, w in zip(a_keys, a_weights):
             t = s + m * a
             row = rows[bisect_right(b_keys, (-t) // m)]  # B's args from there on are > 0
-            if e == 0:
-                # tau(0) = 1/2: half the weight of the zero arguments
-                twice += w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
+            if const:
+                twice += const * w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
             if row is zero:
                 continue
-            acc = 0
-            for c, v in zip(coef, row):
-                acc = acc * t + c * v
-            twice += 2 * w * acc
-        return Fraction(twice, 2 * scale ** e)
+            for coef in folded:  # one Horner pass in t per term
+                acc = 0
+                for c, v in zip(coef, row):
+                    acc = acc * t + c * v
+                twice += 2 * w * acc
+        return Fraction(twice * divisor.denominator, 2 * scale ** degree * divisor.numerator)
 
 
-def _direct_twice(keys: tuple, weights: tuple, s: int, m: int, e: int) -> int:
-    """Twice sum over keys of w * (s + m * key)_+^e, one power per entry."""
-    pos = bisect_right(keys, (-s) // m)  # keys from pos on have arguments > 0
-    twice = 2 * sum(w * (s + m * k) ** e for k, w in zip(keys[pos:], weights[pos:]))
-    if e == 0:
-        # tau(0) = 1/2: half the weight of the zero arguments
-        twice += sum(weights[bisect_left(keys, -(s // m)):pos])
-    return twice
+def _terms(direct: bool, exponents: tuple) -> int:
+    """Terms an entry of A sums: one per term on the direct loop, else e + 1 per term."""
+    return len(exponents) if direct else sum(exponents) + len(exponents)
+
+
+@lru_cache(maxsize=64)
+def _binomial_rows(terms: tuple) -> tuple:
+    """c C(e, j) for j <= e, for each term (e, c) of a polynomial."""
+    return tuple(tuple(c * math.comb(e, j) for j in range(e + 1)) for e, c in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +538,8 @@ class ContinuousSum:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not all(isinstance(c, ContinuousComponent) for c in comps):
-            comps = tuple(
-                c if isinstance(c, ContinuousComponent) else ContinuousComponent(*c)
-                for c in comps
-            )
+        comps = tuple(c if isinstance(c, ContinuousComponent) else ContinuousComponent(*c)
+                      for c in self.components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
@@ -573,11 +569,12 @@ class ContinuousSum:
         return VertexMeasure([2 * c.half_width for c in self.components], self.n)
 
     @cached_property
-    def _width_product(self) -> Fraction:
-        return math.prod(c.half_width for c in self.components)
-
-    def _norm(self, exponent: int) -> Fraction:
-        return math.factorial(exponent) * 2 ** self.n * self._width_product
+    def _polys(self) -> dict:
+        """exponent -> the density's (n - 1) or the CDF's (n) monomial over its norm,
+        e! 2^n prod_j a_j, as VertexMeasure.sum takes it."""
+        widths = math.prod(c.half_width for c in self.components)
+        return {e: (((e, 1),), math.factorial(e) * 2 ** self.n * widths)
+                for e in (self.n - 1, self.n)}
 
     # -- simple statistics -------------------------------------------------
 
@@ -610,14 +607,11 @@ class ContinuousSum:
             return Fraction(0)
         if xf > self._hi:
             return Fraction(above)
-        return self._measure.sum(xf - self._hi, exponent) / self._norm(exponent)
+        return self._measure.sum(xf - self._hi, self._polys[exponent])
 
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
-        """Density at x via the step-function (tau) form of the vertex sum.
-
-        Exactly 0 outside the closed support.  At the jump points of an
-        n = 1 sum the value is the midpoint 1/(4a).
-        """
+        """Density at x via the step-function (tau) form of the vertex sum: exactly 0
+        outside the closed support, the midpoint 1/(4a) at the jumps of n = 1."""
         return _result(self._eval(_point(x, mode), self.n - 1, 0), mode)
 
     def density_sign(self, x, mode: EvalMode = EXACT) -> EvalResult:
@@ -631,11 +625,8 @@ class ContinuousSum:
         return _result((self._eval(xf, e, 0) + mirror) / 2, mode)
 
     def cdf(self, x, mode: EvalMode = EXACT) -> EvalResult:
-        """P(S <= x): the termwise antiderivative of the vertex sum.
-
-        Exactly 0 at/below the lower support end and exactly 1 at/above the
-        upper end in exact mode.
-        """
+        """P(S <= x): the termwise antiderivative of the vertex sum, exactly 0
+        at/below the lower support end and 1 at/above the upper end."""
         return _result(self._eval(_point(x, mode), self.n, 1), mode)
 
     def cool_identity_residual(self, x) -> Fraction:
@@ -646,8 +637,8 @@ class ContinuousSum:
         exact-arithmetic test hook.  Inputs must be finite rationals.
         """
         xf = _as_fraction(x, "x")
-        e = self.n - 1
-        return self._measure.sum(xf - self._hi, e) - self._measure.sum(self._lo - xf, e)
+        raw = (((self.n - 1, 1),), 1)
+        return self._measure.sum(xf - self._hi, raw) - self._measure.sum(self._lo - xf, raw)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
@@ -682,9 +673,7 @@ class ContinuousSum:
         return mid
 
     # -- vectorized float evaluation ---------------------------------------
-    #
-    # float64 numpy paths for tables, plots and goodness-of-fit runs.  The
-    # density is a piecewise polynomial of degree e = n - 1 and the CDF one
+    # The density is a piecewise polynomial of degree e = n - 1 and the CDF one
     # of degree e = n, with knots at hi - key / den for the keys of the
     # vertex measure (a univariate box spline).  _pieces holds, at every
     # knot, both Taylor expansions in the length unit _unit: of the piece to
@@ -703,11 +692,8 @@ class ContinuousSum:
 
     @cached_property
     def _unit(self) -> Fraction:
-        """A power of two near the widest half-width: the batch paths' length unit.
-
-        Working in this unit keeps the float arguments and the norm near 1
-        at any scale of the widths (1e-20 or 1e16 alike).
-        """
+        """A power of two near the widest half-width: the batch paths' length unit,
+        which keeps the float arguments near 1 at any scale of the widths."""
         widest = max(c.half_width for c in self.components)
         return Fraction(2) ** (widest.numerator.bit_length()
                                - widest.denominator.bit_length())
@@ -742,12 +728,11 @@ class ContinuousSum:
         # density's of z^(r - 1) is r c_r unit^(r - 1) den^(r - n) / norm_n.
         # Each column is (index into c + [before], numerator, denominator):
         # the CDF's n + 1 columns and left top, then the density's n and left top.
-        u, prod = self._unit, self._width_product
-        base = math.factorial(n) * 2 ** n * prod.numerator
-        cdf = [(r, u.numerator ** r * prod.denominator,
-                u.denominator ** r * den ** (n - r) * base) for r in range(n + 1)]
-        density = [(r, r * u.numerator ** (r - 1) * prod.denominator,
-                    u.denominator ** (r - 1) * den ** (n - r) * base)
+        u, norm = self._unit, self._polys[n][1]
+        cdf = [(r, u.numerator ** r * norm.denominator,
+                u.denominator ** r * den ** (n - r) * norm.numerator) for r in range(n + 1)]
+        density = [(r, r * u.numerator ** (r - 1) * norm.denominator,
+                    u.denominator ** (r - 1) * den ** (n - r) * norm.numerator)
                    for r in range(1, n + 1)]
         plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
         rows = []

@@ -12,7 +12,14 @@ where y_+^e = y^e * tau(y) with tau(0) = 1/2, and B(n, k) is the coefficient
 of x^(2k-n) in the Laurent expansion of (1 / sin x)^n.  An equivalent form
 replaces tau by the sign function and 2^(n-1) by 2^n; by the mirror
 identity of the contsum module docstring it is the mean of the tau form at
-p and at -p.  The vertex sums are tau sums over the model's VertexMeasure.
+p and at -p.
+
+The sum over k is one polynomial of the model,
+g(y) = sum_k (-1)^k B(n, k) y^(n-2k-1) / (n-2k-1)!, so a PMF point is one
+tau sum of g_+ over the model's VertexMeasure, divided once by its norm.
+B(n, k) comes from Miller's recurrence for a power of a power series
+(csc_coefficient); the paper's explicit triple sum is kept as the reference
+of the tests.
 
 Everything here is computed in exact rational arithmetic: the inputs are
 integers, the Laurent coefficients are rationals, and the alternating
@@ -22,9 +29,10 @@ structure makes floating point useless at these sizes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Dict, Iterable
 
 from .contsum import VertexMeasure
@@ -41,36 +49,45 @@ __all__ = [
 # Laurent coefficients of (1 / sin x)^n
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _csc_coefficient(n: int, k: int) -> Fraction:
-    comb = math.comb
-    total = Fraction(0)
-    for m in range(2 * k + 1):
-        inner = sum((-1) ** r * comb(m, r) * (2 * r - m) ** (2 * k + m)
-                    for r in range(m + 1))
-        total += Fraction(n, n + m) * comb(2 * k, m) \
-            * Fraction(inner, 2 ** m * math.factorial(2 * k + m))
-    return (-1) ** k * comb(n + 2 * k, n) * total
+_ROWS: Dict[int, list] = {}  # n -> [B(n, 0), B(n, 1), ...], the longest row made so far
+_ROWS_LOCK = threading.Lock()
+
+
+def _csc_row(n: int, length: int) -> list:
+    """The cached row B(n, 0), B(n, 1), ... of n, grown under a lock to at least length.
+
+    The row is the series of h^(-n) in y = x^2, h = sin x / x = sum_i h_i y^i
+    with h_i = (-1)^i / (2i + 1)!, by J. C. P. Miller's recurrence for a
+    power of a power series (Knuth, TAOCP vol. 2, 4.7), O(k) operations each:
+
+        B(n, k) = (1/k) sum_{i=1}^{k} ((1 - n) i - k) h_i B(n, k - i).
+
+    A row only grows, so its first length entries are read without the lock.
+    """
+    with _ROWS_LOCK:
+        row = _ROWS.setdefault(n, [Fraction(1)])
+        if len(row) < length:
+            h = [Fraction((-1) ** i, math.factorial(2 * i + 1)) for i in range(length)]
+            for k in range(len(row), length):
+                row.append(sum(((1 - n) * i - k) * h[i] * row[k - i]
+                               for i in range(1, k + 1)) / k)
+    return row
 
 
 def csc_coefficient(n: int, k: int) -> Fraction:
-    """Coefficient of x^(2k-n) in the Laurent expansion of (1/sin x)^n.
+    """Coefficient B(n, k) of x^(2k-n) in the Laurent expansion of (1/sin x)^n.
 
-    Computed by the explicit finite triple sum
-
-        B(n, k) = (-1)^k C(n+2k, n) sum_{m=0}^{2k} [n/(n+m)] C(2k, m)
-                  / (2^m (2k+m)!) * sum_{r=0}^{m} (-1)^r C(m, r) (2r-m)^(2k+m)
-
-    whose internal alternating sign makes the result the plain series
-    coefficient (B(n, 0) = 1, B(1, 1) = 1/6, ...).  Values are memoized in
-    an lru_cache; the value is a pure function of (n, k), so concurrent first
-    computations agree.
+    B(n, 0) = 1, B(1, 1) = 1/6, ...  The PMF's Laurent sum over k is one
+    polynomial with these coefficients (DiscreteSum._laurent).  Read from the
+    row of n that Miller's recurrence grows (_csc_row), cached and shared
+    between threads; the paper's explicit triple sum, equal to it, is the
+    reference of the tests.  n >= 1 and k >= 0 must be ints, not bools;
+    anything else is a ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _csc_coefficient(n, k)
+    for name, v, least in (("n", n, 1), ("k", k, 0)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    return _csc_row(n, k + 1)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +129,8 @@ class DiscreteSum:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(
-            c if isinstance(c, DiscreteComponent) else DiscreteComponent(c)
-            for c in self.components
-        )
+        comps = tuple(c if isinstance(c, DiscreteComponent) else DiscreteComponent(c)
+                      for c in self.components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
@@ -147,22 +162,28 @@ class DiscreteSum:
         up to the largest exponent n - 1."""
         return VertexMeasure([2 * c.count for c in self.components], self.n - 1)
 
-    def _pmf(self, point: int) -> Fraction:
-        """The outer Laurent sum over k of the tau sums with exponent n-2k-1.
-
-        The vertex arguments are integers of the parity of n, so the tau
-        weight never meets a zero argument with exponent 0 (that needs odd
-        n, whose arguments are odd).
-        """
+    @cached_property
+    def _laurent(self) -> tuple:
+        """The PMF's g(y) = sum_k (-1)^k B(n, k) y^e / e!, e = n - 2k - 1, over its
+        norm, as VertexMeasure.sum takes it: integer coefficients, times the lcm L
+        of their denominators, and the divisor L 2^(n - 1) / M.  The row of
+        B(n, k) is made only once the capacity rule has admitted the model."""
         n = self.n
-        start = 2 * point - sum(c.count for c in self.components)
-        total = Fraction(0)
-        for k in range((n - 1) // 2 + 1):
-            e = n - 2 * k - 1
-            s = self._measure.sum(start, e)
-            if s:
-                total += (-1) ** k * csc_coefficient(n, k) * s / math.factorial(e)
-        return self.mass_norm / 2 ** (n - 1) * total
+        self._measure._plans  # the capacity check: CapacityError before the row is made
+        row = _csc_row(n, (n - 1) // 2 + 1)
+        coefs = [(n - 2 * k - 1, (-1) ** k * row[k] / math.factorial(n - 2 * k - 1))
+                 for k in range((n - 1) // 2 + 1)]
+        scale = math.lcm(*(c.denominator for _, c in coefs))
+        terms = tuple((e, c.numerator * (scale // c.denominator)) for e, c in coefs)
+        return terms, scale * 2 ** (n - 1) / self.mass_norm
+
+    def _pmf(self, point: int) -> Fraction:
+        """One tau sum of the Laurent polynomial, at start 2 point - sum_j (2 m_j + 1).
+
+        The vertex arguments are integers of the parity of n, so no zero
+        argument meets the constant term (that needs odd n, whose arguments
+        are odd)."""
+        return self._measure.sum(2 * (point - self.span) - self.n, self._laurent)
 
     # -- public operations ---------------------------------------------------
 

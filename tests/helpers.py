@@ -77,6 +77,21 @@ def assert_refused_unbuilt(call, bound: int):
     assert peak < 2 ** 20
 
 
+def csc_triple_sum(n: int, k: int) -> Fraction:
+    """B(n, k), the coefficient of x^(2k-n) in (1/sin x)^n, by the paper's triple sum
+
+        B(n, k) = (-1)^k C(n+2k, n) sum_{m=0}^{2k} [n/(n+m)] C(2k, m)
+                  / (2^m (2k+m)!) * sum_{r=0}^{m} (-1)^r C(m, r) (2r-m)^(2k+m).
+    """
+    comb = math.comb
+    total = Fraction(0)
+    for m in range(2 * k + 1):
+        inner = sum((-1) ** r * comb(m, r) * (2 * r - m) ** (2 * k + m) for r in range(m + 1))
+        total += Fraction(n, n + m) * comb(2 * k, m) \
+            * Fraction(inner, 2 ** m * math.factorial(2 * k + m))
+    return (-1) ** k * comb(n + 2 * k, n) * total
+
+
 def central_trinomial(n: int) -> int:
     """Coefficient of x^0 in (1/x + 1 + x)^n."""
     return sum(math.comb(n, k) * math.comb(n - k, k) for k in range(n // 2 + 1))
@@ -90,6 +105,11 @@ def assert_identical_components_work():
     thirty = DiscreteSum.from_half_ranges([1] * 30)
     assert sum(thirty.pmf_full().values()) == 1
     assert thirty.pmf_tau(0) == Fraction(central_trinomial(30), 3 ** 30)
+
+
+def monomial(e: int) -> tuple:
+    """y^e over the divisor 1, as VertexMeasure.sum takes a polynomial."""
+    return ((e, 1),), 1
 
 
 # brute-force vertex enumeration ---------------------------------------------

@@ -447,6 +447,19 @@ class TestBruteForceReference:
         for x in (on_kink, off_kink):
             for e in (0, n - 1, n):
                 assert_mirror_identities(s._measure, x - hi, e, x - centre, avec)
+        # a sparse polynomial with a constant term, which alone meets the zero
+        # arguments of on_kink with half its weight, summed at once
+        terms = data.draw(st.dictionaries(st.integers(1, n), st.integers(-9, 9).filter(bool),
+                                          max_size=n), label="terms")
+        terms[0] = data.draw(st.integers(-9, 9).filter(bool), label="constant")
+        divisor = data.draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+                            label="divisor")
+        poly = (tuple(terms.items()), divisor)
+        for x in (on_kink, off_kink):
+            want = sum(c * helpers.brute_vertex_sum(x - centre, avec, r, "tau")
+                       for r, c in terms.items()) / divisor
+            for path in PATHS:
+                assert s._measure.sum(x - hi, poly, path=path) == want, (path, x, poly)
 
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
@@ -463,13 +476,17 @@ class TestBruteForceReference:
         ms = data.draw(helpers.half_range_lists(max_n=6, m_max=5), label="ms")
         d = DiscreteSum.from_half_ranges(ms)
         p = data.draw(st.integers(min_value=-d.span - 1, max_value=d.span + 1), label="p")
-        assert d.pmf_tau(p) == helpers.brute_pmf(ms, p, "tau")
+        pmf = helpers.brute_pmf(ms, p, "tau")
+        assert d.pmf_tau(p) == pmf
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
         counts = [2 * m + 1 for m in ms]
+        for path in PATHS:  # the Laurent polynomial of the PMF, n odd or even
+            assert d._measure.sum(2 * p - sum(counts), d._laurent, path=path) == pmf, (path, p)
         for e in range(len(ms) - 1, -1, -2):
             want = helpers.brute_vertex_sum(2 * p, counts, e, "tau")
             for path in PATHS:
-                assert d._measure.sum(2 * p - sum(counts), e, path=path) == want, (path, e, p)
+                assert d._measure.sum(2 * p - sum(counts), helpers.monomial(e), path=path) \
+                    == want, (path, e, p)
         # the raw sum at e = n is not zero, so the measure needs one more exponent
         measure = contsum.VertexMeasure([2 * c for c in counts], len(ms))
         for e in (0, len(ms) - 1, len(ms)):
@@ -485,7 +502,8 @@ def assert_mirror_identities(measure, start, e, shift, half_widths):
     want = {form: helpers.brute_vertex_sum(shift, half_widths, e, form)
             for form in ("tau", "raw", "sign")}
     for path in PATHS:
-        at, across = measure.sum(start, e, path=path), measure.sum(mirror, e, path=path)
+        at = measure.sum(start, helpers.monomial(e), path=path)
+        across = measure.sum(mirror, helpers.monomial(e), path=path)
         assert at == want["tau"], (path, e, start)
         assert at + sign * across == want["raw"], (path, e, start)
         assert at - sign * across == want["sign"], (path, e, start)
@@ -535,7 +553,8 @@ class TestVertexPaths:
             start = lo - hi + (hi - lo) * F(i, points + 1)
             spent.append(measure._spent)
             taken.append(measure._choose())
-            assert measure.sum(start, model.n) == model._measure.sum(start, model.n, path=first)
+            poly = helpers.monomial(model.n)
+            assert measure.sum(start, poly) == model._measure.sum(start, poly, path=first)
         assert taken[0] == first and taken[-1] == last
         assert taken == sorted(taken, key=taken.index)  # no path returns
         assert set(measure._parts) == {last}

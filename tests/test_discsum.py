@@ -1,5 +1,6 @@
 """Unit and property tests for the discrete PMF formulas and coefficients."""
 
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -34,25 +35,48 @@ class TestCscCoefficient:
             for k in range(5):
                 assert csc_coefficient(n, k) == oracle[k]
 
+    def test_matches_triple_sum(self):
+        # the paper's explicit triple sum, past k = (n - 1) / 2 too, which
+        # the coeffs command asks for
+        for n in (1, 2, 3, 4, 7, 13, 30):
+            for k in range(max(3, (n - 1) // 2) + 1):
+                assert csc_coefficient(n, k) == helpers.csc_triple_sum(n, k), (n, k)
+        for k in range(0, 50, 7):
+            assert csc_coefficient(100, k) == helpers.csc_triple_sum(100, k), k
+
     def test_validation(self):
         with pytest.raises(ValueError):
             csc_coefficient(0, 1)
         with pytest.raises(ValueError):
             csc_coefficient(1, -1)
 
+    @pytest.mark.parametrize("n, k", [(True, 1), (2, True), (2.0, 1), (2, 1.0), (F(2), 1)])
+    def test_rejects_non_integers(self, n, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            csc_coefficient(n, k)
+
     def test_concurrent_lookups_consistent(self):
+        # more threads than cores, with a short switch interval, each growing
+        # the one shared row of n = 37 to its own length first: a coefficient
+        # appended out of turn would show as a wrong value
+        oracle = csc_series_oracle(37, 12)
         results = []
 
-        def worker():
-            results.append(csc_coefficient(7, 9))
+        def worker(top):
+            results.append([csc_coefficient(37, k) for k in range(top, -1, -1)])
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(results)) == 1
-        assert results[0] == csc_series_oracle(7, 9)[9]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(top,)) for top in range(5, 13)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results, key=len) == [oracle[top::-1] for top in range(5, 13)]
 
 
 class TestPmfValues:
