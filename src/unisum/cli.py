@@ -14,8 +14,9 @@ with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
 --count at least 1; anything else is a usage error (exit 2).
 
 Only sample and verify import numpy, through the oracles module, when they
-run; the other subcommands are pure integer and Fraction code, and
-importing this module loads no numpy.
+run; the other subcommands are pure integer and Fraction code.  Importing
+this module, or the package, loads neither numpy nor dataclasses, inspect
+or typing: the package's value types are plain classes.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import List, Optional, Sequence
 
 from . import discsum
 from .contsum import EXACT, ContinuousSum, EvalMode, EvalResult
@@ -71,26 +70,33 @@ def format_decimal(value) -> str:
 # Job specification and parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
+# JobSpec's options and their defaults, in the order its constructor takes them
+_JOB_DEFAULTS = {
+    "continuous": None, "discrete": None, "mode": EXACT,  # the models and an EvalMode
+    "at": None, "q": None, "lo": None, "hi": None, "step": None,  # Fractions
+    "seed": 0, "count": 10, "csv": False, "out": None, "dump_config": None,
+    "suite": "all", "n_max": 10, "k_max": 6, "grid_step": Fraction(1, 256),
+}
+
+
 class JobSpec:
-    command: str
-    continuous: Optional[ContinuousSum] = None
-    discrete: Optional[DiscreteSum] = None
-    mode: EvalMode = EXACT
-    at: Optional[Fraction] = None
-    q: Optional[Fraction] = None
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    step: Optional[Fraction] = None
-    seed: int = 0
-    count: int = 10
-    csv: bool = False
-    out: Optional[str] = None
-    dump_config: Optional[str] = None
-    suite: str = "all"
-    n_max: int = 10
-    k_max: int = 6
-    grid_step: Fraction = Fraction(1, 256)
+    """A parsed invocation: the command, then the options of _JOB_DEFAULTS by
+    position or keyword.  Mutable; equal when every field is."""
+
+    def __init__(self, command: str, *args, **options):
+        if len(args) > len(_JOB_DEFAULTS) or not options.keys() <= _JOB_DEFAULTS.keys():
+            raise TypeError(f"JobSpec takes a command and the options {list(_JOB_DEFAULTS)}")
+        self.command = command
+        vars(self).update(_JOB_DEFAULTS, **dict(zip(_JOB_DEFAULTS, args)), **options)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"JobSpec({fields})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,9 +295,9 @@ def _dump_config(path: str, spec: JobSpec):
 _SIGNED_OPTIONS = {"--comp", "--at", "--q", "--from", "--to", "--step"}
 
 
-def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+def _attach_signed_values(argv: list[str]) -> list[str]:
     """Join `--opt -v` into `--opt=-v`: argparse takes `-1/2` for an option."""
-    out: List[str] = []
+    out: list[str] = []
     for token in argv:
         if out and out[-1] in _SIGNED_OPTIONS and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
@@ -300,11 +306,11 @@ def _attach_signed_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
-def parse_args(argv: Sequence[str]) -> JobSpec:
+def parse_args(argv: list[str]) -> JobSpec:
     """Parse an argv list into a validated JobSpec; raises UsageError."""
     ns = _build_parser().parse_args(_attach_signed_values(argv))
-    spec = JobSpec(**{f.name: getattr(ns, f.name) for f in fields(JobSpec)
-                      if hasattr(ns, f.name)})
+    spec = JobSpec(ns.command, **{name: getattr(ns, name) for name in _JOB_DEFAULTS
+                                  if hasattr(ns, name)})
 
     if ns.command in _MODELS:
         flag, parse_line, build, model = _MODELS[ns.command]
@@ -447,7 +453,7 @@ def _run_sample(spec: JobSpec) -> str:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _verify_coeffs(spec: JobSpec, lines: List[str]) -> bool:
+def _verify_coeffs(spec: JobSpec, lines: list[str]) -> bool:
     from . import oracles
 
     ok = True
@@ -466,7 +472,7 @@ def _verify_coeffs(spec: JobSpec, lines: List[str]) -> bool:
     return ok
 
 
-def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
+def _verify_disc(spec: JobSpec, lines: list[str]) -> bool:
     import random
 
     from . import oracles
@@ -491,7 +497,7 @@ def _verify_disc(spec: JobSpec, lines: List[str]) -> bool:
     return ok
 
 
-def _verify_cont(spec: JobSpec, lines: List[str]) -> bool:
+def _verify_cont(spec: JobSpec, lines: list[str]) -> bool:
     import numpy as np
 
     from . import oracles
@@ -527,7 +533,7 @@ def _verify_cont(spec: JobSpec, lines: List[str]) -> bool:
 def run_verify(spec: JobSpec):
     """Run the requested suites; returns (report_text, all_passed)."""
     _check_draws(spec.count)
-    lines: List[str] = []
+    lines: list[str] = []
     ok = True
     if spec.suite in ("all", "coeffs"):
         ok = _verify_coeffs(spec, lines) and ok
@@ -554,7 +560,7 @@ _RUNNERS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -83,10 +83,8 @@ import sys
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
 
 from .errors import MEASURE_MAX, CapacityError, ModeError
 
@@ -115,8 +113,39 @@ def _as_fraction(value, what: str) -> Fraction:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuousComponent:
+class _Value:
+    """An immutable value, compared, hashed, printed and pickled by its fields.
+    A subclass names them once, in __match_args__; its __init__ validates and
+    stores them (object.__setattr__), and builds every copy and pickle anew."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ContinuousComponent(_Value):
     """One uniform summand on [center - half_width, center + half_width].
 
     Parameters are stored as exact rationals.  Floats convert exactly (every
@@ -124,12 +153,11 @@ class ContinuousComponent:
     inputs, e.g. "0.1" means one tenth, not the nearest double.
     """
 
-    center: Fraction
-    half_width: Fraction
+    __slots__ = __match_args__ = ("center", "half_width")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_fraction(self.center, "center"))
-        object.__setattr__(self, "half_width", _as_fraction(self.half_width, "half_width"))
+    def __init__(self, center, half_width):
+        object.__setattr__(self, "center", _as_fraction(center, "center"))
+        object.__setattr__(self, "half_width", _as_fraction(half_width, "half_width"))
         if self.half_width <= 0:
             raise ValueError(
                 f"half_width must be > 0, got {self.half_width} "
@@ -145,20 +173,20 @@ class ContinuousComponent:
         return self.center + self.half_width
 
 
-@dataclass(frozen=True)
-class EvalMode:
+class EvalMode(_Value):
     """How to evaluate: "exact" rationals or the exact value rounded to "float".
 
     report_condition only affects float mode; when set, results carry the
     condition_estimate described in EvalResult.
     """
 
-    kind: str
-    report_condition: bool = True
+    __slots__ = __match_args__ = ("kind", "report_condition")
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown evaluation mode {self.kind!r}")
+    def __init__(self, kind: str, report_condition: bool = True):
+        if kind not in ("exact", "float"):
+            raise ValueError(f"unknown evaluation mode {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "report_condition", report_condition)
 
     @property
     def is_exact(self) -> bool:
@@ -169,8 +197,7 @@ EXACT = EvalMode("exact")
 FLOAT = EvalMode("float")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Value):
     """Value of a density/CDF evaluation plus an optional error report.
 
     value is a Fraction in exact mode.  In float mode it is the exact value
@@ -182,8 +209,11 @@ class EvalResult:
     beyond the float range.
     """
 
-    value: Union[Fraction, float]
-    condition_estimate: float | None = None
+    __slots__ = __match_args__ = ("value", "condition_estimate")
+
+    def __init__(self, value: Fraction | float, condition_estimate: float | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "condition_estimate", condition_estimate)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -329,7 +359,7 @@ class VertexMeasure:
     answers, never the value.
     """
 
-    def __init__(self, legs: Sequence, top: int):
+    def __init__(self, legs: list[Fraction], top: int):
         self.den = math.lcm(*(leg.denominator for leg in legs))
         self.steps = Counter(leg.numerator * (self.den // leg.denominator) for leg in legs)
         self.n = len(legs)
@@ -519,12 +549,12 @@ def _binomial_rows(terms: tuple) -> tuple:
 # The sum itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuousSum:
+class ContinuousSum(_Value):
     """Sum of n independent uniforms on [c_j - a_j, c_j + a_j].
 
     All distribution-level operations are pure functions of the stored
     components; instances are immutable and safe to share across threads.
+    A copy or a pickle carries the components only, no cached constants.
 
     Examples
     --------
@@ -535,18 +565,18 @@ class ContinuousSum:
     Fraction(1, 4)
     """
 
-    components: tuple
+    __match_args__ = ("components",)
 
-    def __post_init__(self):
+    def __init__(self, components: tuple):
         comps = tuple(c if isinstance(c, ContinuousComponent) else ContinuousComponent(*c)
-                      for c in self.components)
+                      for c in components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable) -> "ContinuousSum":
-        """Build from (center, half_width) pairs."""
+    def from_pairs(cls, pairs) -> ContinuousSum:
+        """Build from an iterable of (center, half_width) pairs."""
         return cls(tuple(ContinuousComponent(c, a) for c, a in pairs))
 
     @property
@@ -807,7 +837,7 @@ def density_feller(n: int, a, x, mode: EvalMode = EXACT):
     return ContinuousSum.from_pairs([(0, a)] * n).density_tau(x, mode).value
 
 
-def density_olds(a: Sequence, x, mode: EvalMode = EXACT):
+def density_olds(a: list, x, mode: EvalMode = EXACT):
     """Density of a sum of uniforms on [0, a_j], by inclusion-exclusion.
 
     f_n(x) = sum over subsets S of {1..n} of (-1)^|S| (x - sum_{j in S} a_j)_+^(n-1)

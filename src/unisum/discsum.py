@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable
 
-from .contsum import VertexMeasure
+from .contsum import VertexMeasure, _Value
 
 __all__ = [
     "DiscreteComponent",
@@ -49,7 +47,7 @@ __all__ = [
 # Laurent coefficients of (1 / sin x)^n
 # ---------------------------------------------------------------------------
 
-_ROWS: Dict[int, list] = {}  # n -> [B(n, 0), B(n, 1), ...], the longest row made so far
+_ROWS: dict[int, list] = {}  # n -> [B(n, 0), B(n, 1), ...], the longest row made so far
 _ROWS_LOCK = threading.Lock()
 
 
@@ -105,38 +103,38 @@ def _lattice_point(p) -> int:
     return point.numerator
 
 
-@dataclass(frozen=True)
-class DiscreteComponent:
+class DiscreteComponent(_Value):
     """Uniform on the integers in [-m, m].  m = 0 is a point mass at 0."""
 
-    m: int
+    __slots__ = __match_args__ = ("m",)
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+    def __init__(self, m: int):
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"m must be an integer, got {m!r}")
+        if m < 0:
+            raise ValueError(f"m must be >= 0, got {m}")
+        object.__setattr__(self, "m", m)
 
     @property
     def count(self) -> int:
         return 2 * self.m + 1
 
 
-@dataclass(frozen=True)
-class DiscreteSum:
-    """Sum of n independent discrete uniforms on [-m_j, m_j]."""
+class DiscreteSum(_Value):
+    """Sum of n independent discrete uniforms on [-m_j, m_j].  A copy or a
+    pickle carries the components only, no cached constants."""
 
-    components: tuple
+    __match_args__ = ("components",)
 
-    def __post_init__(self):
+    def __init__(self, components: tuple):
         comps = tuple(c if isinstance(c, DiscreteComponent) else DiscreteComponent(c)
-                      for c in self.components)
+                      for c in components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("a sum needs at least one component")
 
     @classmethod
-    def from_half_ranges(cls, ms: Iterable[int]) -> "DiscreteSum":
+    def from_half_ranges(cls, ms) -> DiscreteSum:
         return cls(tuple(DiscreteComponent(m) for m in ms))
 
     @property
@@ -201,7 +199,7 @@ class DiscreteSum:
         point = _lattice_point(p)
         return (self._pmf(point) + self._pmf(-point)) / 2
 
-    def pmf_full(self) -> Dict[int, Fraction]:
+    def pmf_full(self) -> dict[int, Fraction]:
         """The whole PMF on [-span, span]; values sum to exactly 1."""
         return {p: self.pmf_tau(p) for p in range(-self.span, self.span + 1)}
 

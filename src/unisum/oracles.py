@@ -10,13 +10,11 @@ the CLI `verify` command) compares these against the vertex-sum formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List
 
 import numpy as np
 
-from .contsum import ContinuousSum, _rounded
+from .contsum import ContinuousSum, _rounded, _Value
 from .discsum import DiscreteSum
 from .errors import CapacityError
 
@@ -39,20 +37,17 @@ DISCRETE_ORACLE_CAP = 10 ** 7
 # Truncated even power series over the rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvenSeries:
+class EvenSeries(_Value):
     """A truncated even power series sum_k c_k x^(2k), exact coefficients.
 
     Arithmetic is exact up to the truncation order; coefficients beyond it
     are dropped (truncation, never rounding).
     """
 
-    coefficients: tuple
+    __match_args__ = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+    def __init__(self, coefficients: tuple):
+        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in coefficients))
         if not self.coefficients:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -72,7 +67,7 @@ class EvenSeries:
         if a[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no reciprocal")
         K = self.truncation_order
-        r: List[Fraction] = [Fraction(1) / a[0]]
+        r: list[Fraction] = [Fraction(1) / a[0]]
         for k in range(1, K + 1):
             acc = sum(a[i] * r[k - i] for i in range(1, k + 1))
             r.append(-acc / a[0])
@@ -87,7 +82,7 @@ class EvenSeries:
         return out
 
 
-def csc_series_oracle(n: int, K: int) -> List[Fraction]:
+def csc_series_oracle(n: int, K: int) -> list[Fraction]:
     """First K+1 Laurent coefficients of (1/sin x)^n, by series arithmetic.
 
     Expands s(x) = sin(x)/x = sum_r (-1)^r x^(2r) / (2r+1)!, inverts it by
@@ -109,7 +104,7 @@ def csc_series_oracle(n: int, K: int) -> List[Fraction]:
 # Brute-force convolutions
 # ---------------------------------------------------------------------------
 
-def discrete_conv_oracle(dsum: DiscreteSum) -> Dict[int, Fraction]:
+def discrete_conv_oracle(dsum: DiscreteSum) -> dict[int, Fraction]:
     """Exact PMF of the discrete sum by direct lattice counting.
 
     Convolves the component counting measures one at a time and divides by
@@ -123,7 +118,7 @@ def discrete_conv_oracle(dsum: DiscreteSum) -> Dict[int, Fraction]:
         )
     counts = {0: 1}
     for comp in dsum.components:
-        new: Dict[int, int] = {}
+        new: dict[int, int] = {}
         for value, cnt in counts.items():
             for d in range(-comp.m, comp.m + 1):
                 new[value + d] = new.get(value + d, 0) + cnt
@@ -197,8 +192,8 @@ def sample_sum(csum: ContinuousSum, count: int, seed: int) -> np.ndarray:
     return total
 
 
-def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Kolmogorov-Smirnov sup distance between samples and a reference CDF."""
+def ks_statistic(samples: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov sup distance between samples and a vectorised reference CDF."""
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     if n == 0:

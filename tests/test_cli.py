@@ -14,6 +14,7 @@ import helpers
 from test_cli_golden import GOLDEN, MODEL, RANGE
 from unisum import ContinuousSum, DiscreteSum, discsum
 from unisum.cli import (
+    JobSpec,
     UsageError,
     format_decimal,
     format_fixed,
@@ -64,6 +65,22 @@ class TestParseArgs:
         spec = parse_args(["density", "--comp", "0:1", "--at", "0", "--float",
                            "--no-condition"])
         assert not spec.mode.report_condition
+
+    def test_job_spec_fields(self):
+        spec = parse_args(["pmf", "--m", "1", "--at", "0"])
+        assert spec == JobSpec("pmf", None, DiscreteSum.from_half_ranges([1]),
+                               at=F(0), count=10)
+        assert spec != JobSpec("pmf") and spec != ("pmf",)
+        assert repr(JobSpec("coeffs")) == (
+            "JobSpec(command='coeffs', continuous=None, discrete=None, "
+            "mode=EvalMode(kind='exact', report_condition=True), at=None, q=None, "
+            "lo=None, hi=None, step=None, seed=0, count=10, csv=False, out=None, "
+            "dump_config=None, suite='all', n_max=10, k_max=6, "
+            "grid_step=Fraction(1, 256))")
+        for bad in (lambda: JobSpec("pmf", bogus=1), lambda: JobSpec("pmf", None, continuous=None),
+                    lambda: JobSpec("pmf", *[None] * 18)):
+            with pytest.raises(TypeError):
+                bad()
 
     @pytest.mark.parametrize("argv", [
         ["density", "--comp", "0:-1", "--at", "0"],     # a <= 0
@@ -389,7 +406,19 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 class TestImportPath:
     """numpy is imported by the array paths only: the batch evaluations, the
-    oracles and the sample and verify subcommands."""
+    oracles and the sample and verify subcommands.  Importing the package and
+    the CLI loads none of numpy, dataclasses, inspect or typing."""
+
+    def test_import_loads_no_heavy_modules(self):
+        code = ("import json, sys\n"
+                "before = set(sys.modules)\n"
+                "import unisum, unisum.cli\n"
+                "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        done = _python(code)
+        assert done.returncode == 0, done.stderr
+        added = set(json.loads(done.stdout))
+        assert "unisum.cli" in added
+        assert not added & {"numpy", "dataclasses", "inspect", "typing"}
 
     def test_scalar_commands_run_without_numpy(self):
         commands = [c for c in sorted(GOLDEN) if not c.startswith("sample")]
