@@ -65,8 +65,14 @@ far.  The first point takes the split that answers it cheapest, build
 included; a split with cheaper points takes over once the terms summed
 cover its build (rent or buy).  No count of future points is assumed.
 
-Exact mode, the reference, computes in rationals; float mode rounds the
-exact value at the double nearest to x once (EvalResult).
+The point path.  Exact mode, the reference, computes in rationals; float
+mode rounds the exact value at the double nearest to x once (EvalResult).
+A point x = num / d is one integer pass: x - hi and hi - lo are integers s
+and w over scale = lcm(d, h), h the lcm of den and hi's denominator
+(ContinuousSum._start); s > 0 lies past the support, s + w < 0 below it,
+and -s - w is the mirrored start.  VertexMeasure.sum takes the polynomial
+at that scale from a plan cached by value (_plan), makes one integer pass
+over the measure and divides once, in its only Fraction.
 
 What each path may build and do is bounded by the capacity rule stated
 once above MEASURE_MAX in errors.py.
@@ -219,14 +225,14 @@ class EvalResult(_Value):
         return float(self.value)
 
 
-def _point(x, mode: EvalMode) -> Fraction:
-    """The evaluation point as a rational; float mode first rounds it to a double."""
+def _point(x, mode: EvalMode) -> tuple:
+    """The evaluation point as an integer ratio; float mode first rounds it to a double."""
     if mode.is_exact:
-        return _as_fraction(x, "x")
+        return (x if isinstance(x, (int, Fraction)) else _as_fraction(x, "x")).as_integer_ratio()
     xv = _rounded(x)
     if not math.isfinite(xv):
         raise ValueError(f"x must round to a finite double in float mode, got {xv}")
-    return Fraction(xv)
+    return xv.as_integer_ratio()
 
 
 def _rounded(value) -> float:
@@ -438,9 +444,9 @@ class VertexMeasure:
         measures = size_b if path == _TABLE and whole else size_a + size_b
         return measures + size_b * (self.top + 1), point
 
-    def _choose(self, exponents: tuple = ()) -> str:
-        """The path the next sum of a polynomial with these exponents takes;
-        CapacityError if none fits.
+    def _choose(self, terms: tuple = ()) -> str:
+        """The path the next sum of a polynomial with these terms takes (by
+        default the top monomial); CapacityError if none fits.
 
         The first sum takes the path that answers one point cheapest, build
         included.  Later sums switch to a path with cheaper points as soon
@@ -451,6 +457,7 @@ class VertexMeasure:
         """
         if self._spent < self._due:
             return self._path
+        exponents = tuple(e for e, _ in terms)
         costs = {path: self._costs(path, exponents) for path in self._plans}
         path = self._path
         if path is None:
@@ -482,43 +489,32 @@ class VertexMeasure:
             self._parts[path] = parts
         return parts
 
-    def sum(self, start, poly: tuple, path: str | None = None) -> Fraction:
-        """sum over the measure of w * g_+(start + key / den), over a divisor, exactly.
+    def sum(self, s: int, scale: int, poly: tuple, path: str | None = None) -> Fraction:
+        """sum over the measure of w * g_+(s / scale + key / den), over a divisor, exactly.
 
-        poly is (terms, divisor): g's pairs (exponent <= top, integer
-        coefficient) and a positive rational.  g_+(y) is g(y) tau(y) with
-        tau(0) = 1/2, so a zero argument takes half of g's constant term.
-        start is a rational or an int.  Over the common denominator of start
-        and the keys, raised to g's degree, the sum is one integer, divided
-        once; the arguments ascend with the keys, which locates the zero
-        ones by bisection.  path forces one of _DIRECT, _TABLE and _SPLIT;
-        by default _choose does.
+        Every density, CDF and PMF point is this one call (the point path of
+        the module docstring): s an integer, scale a multiple of den, so a
+        key adds m = scale / den to s, and poly (terms, divisor), g's pairs
+        (exponent <= top, integer coefficient) and a positive rational.
+        g_+(y) is g(y) tau(y), tau(0) = 1/2: a zero argument takes half of
+        g's constant term.  Over scale^degree the sum is one integer; the
+        arguments ascend with the keys, so bisection locates the zero ones.
+        path forces _DIRECT, _TABLE or _SPLIT; by default _choose does.
         """
         terms, divisor = poly
-        exponents = tuple(e for e, _ in terms)
-        with self._lock:
-            a_keys, a_weights, b_keys, rows = self._build(path or self._choose(exponents))
-            self._spent += len(a_keys) * _terms(rows is None, exponents)
-        scale = math.lcm(self.den, start.denominator)
-        s = start.numerator * (scale // start.denominator)
         m = scale // self.den
-        degree = max(exponents)
-        if scale != 1:
-            terms = tuple((e, c * scale ** (degree - e)) for e, c in terms)
-        const = dict(terms).get(0, 0)  # counted twice per positive argument, once per zero one
+        with self._lock:
+            a_keys, a_weights, b_keys, rows = self._build(path or self._choose(terms))
+            count, const, terms, folded, denominator = _plan(terms, scale, m, rows is not None)
+            self._spent += len(a_keys) * count
         if rows is None:  # one power per entry and term
             pos = bisect_right(a_keys, (-s) // m)  # keys from pos on have arguments > 0
             twice = const * sum(a_weights[bisect_left(a_keys, -(s // m)):pos])
             for e, c in terms:
                 twice += 2 * c * sum(w * (s + m * k) ** e
                                      for k, w in zip(a_keys[pos:], a_weights[pos:]))
-            return Fraction(twice * divisor.denominator, 2 * scale ** degree * divisor.numerator)
-        folded = _binomial_rows(terms)  # c C(e, j) m^j per term (e, c), once per call
-        if m != 1:
-            powers = [m ** j for j in range(self.top + 1)]
-            folded = [[c * p for c, p in zip(coef, powers)] for coef in folded]
-        zero = rows[-1]
-        twice = 0
+            return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
+        twice, zero = 0, rows[-1]
         for a, w in zip(a_keys, a_weights):
             t = s + m * a
             row = rows[bisect_right(b_keys, (-t) // m)]  # B's args from there on are > 0
@@ -531,7 +527,7 @@ class VertexMeasure:
                 for c, v in zip(coef, row):
                     acc = acc * t + c * v
                 twice += 2 * w * acc
-        return Fraction(twice * divisor.denominator, 2 * scale ** degree * divisor.numerator)
+        return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
 
 
 def _terms(direct: bool, exponents: tuple) -> int:
@@ -540,9 +536,16 @@ def _terms(direct: bool, exponents: tuple) -> int:
 
 
 @lru_cache(maxsize=64)
-def _binomial_rows(terms: tuple) -> tuple:
-    """c C(e, j) for j <= e, for each term (e, c) of a polynomial."""
-    return tuple(tuple(c * math.comb(e, j) for j in range(e + 1)) for e, c in terms)
+def _plan(terms: tuple, scale: int, m: int, folded: bool) -> tuple:
+    """What VertexMeasure.sum needs of g's terms at one scale, cached by value: the
+    _terms an entry of A counts, g's constant term, the terms (e, c scale^(degree - e)),
+    their rows c C(e, j) m^j (j <= e) if folded, else None, and 2 scale^degree."""
+    exponents = tuple(e for e, _ in terms)
+    degree = max(exponents)
+    terms = tuple((e, c * scale ** (degree - e)) for e, c in terms)
+    rows = tuple(tuple(c * math.comb(e, j) * m ** j for j in range(e + 1))
+                 for e, c in terms) if folded else None
+    return _terms(not folded, exponents), dict(terms).get(0, 0), terms, rows, 2 * scale ** degree
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +602,12 @@ class ContinuousSum(_Value):
         return VertexMeasure([2 * c.half_width for c in self.components], self.n)
 
     @cached_property
+    def _origin(self) -> tuple:
+        """(h, hi h, (hi - lo) h), h the lcm of den and hi's denominator, as integers."""
+        h = math.lcm(self._measure.den, self._hi.denominator)
+        return h, (self._hi * h).numerator, ((self._hi - self._lo) * h).numerator
+
+    @cached_property
     def _polys(self) -> dict:
         """exponent -> the density's (n - 1) or the CDF's (n) monomial over its norm,
         e! 2^n prod_j a_j, as VertexMeasure.sum takes it."""
@@ -631,18 +640,25 @@ class ContinuousSum(_Value):
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def _eval(self, xf: Fraction, exponent: int, above: int) -> Fraction:
-        """The tau form at the rational xf: 0 below the support, `above` past it."""
-        if xf < self._lo:
-            return Fraction(0)
-        if xf > self._hi:
+    def _start(self, num: int, d: int) -> tuple:
+        """(s, w, scale): x - hi = s / scale, hi - lo = w / scale at x = num / d."""
+        h, hi, width = self._origin
+        scale = math.lcm(h, d)
+        k = scale // h
+        return num * (scale // d) - hi * k, width * k, scale
+
+    def _tau(self, s: int, w: int, scale: int, exponent: int, above: int) -> Fraction:
+        """The tau form at (s, w, scale) of _start: 0 below lo, `above` past hi."""
+        if s > 0:
             return Fraction(above)
-        return self._measure.sum(xf - self._hi, self._polys[exponent])
+        if s + w < 0:
+            return Fraction(0)
+        return self._measure.sum(s, scale, self._polys[exponent])
 
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """Density at x via the step-function (tau) form of the vertex sum: exactly 0
         outside the closed support, the midpoint 1/(4a) at the jumps of n = 1."""
-        return _result(self._eval(_point(x, mode), self.n - 1, 0), mode)
+        return _result(self._tau(*self._start(*_point(x, mode)), self.n - 1, 0), mode)
 
     def density_sign(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """Density at x via the sign-function form: by the mirror identity
@@ -650,14 +666,14 @@ class ContinuousSum(_Value):
         lo + hi - x, rounded once in float mode.  Equal to density_tau as a
         rational (the two differ by half the vanishing alternating sum).
         """
-        xf, e = _point(x, mode), self.n - 1
-        mirror = self._eval(self._lo + self._hi - xf, e, 0)
-        return _result((self._eval(xf, e, 0) + mirror) / 2, mode)
+        s, w, scale = self._start(*_point(x, mode))
+        mirror = self._tau(-s - w, w, scale, self.n - 1, 0)  # the start lo - x of lo + hi - x
+        return _result((self._tau(s, w, scale, self.n - 1, 0) + mirror) / 2, mode)
 
     def cdf(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """P(S <= x): the termwise antiderivative of the vertex sum, exactly 0
         at/below the lower support end and 1 at/above the upper end."""
-        return _result(self._eval(_point(x, mode), self.n, 1), mode)
+        return _result(self._tau(*self._start(*_point(x, mode)), self.n, 1), mode)
 
     def cool_identity_residual(self, x) -> Fraction:
         """The raw alternating vertex sum sum_eps (arg_eps)^(n-1) * parity.
@@ -666,9 +682,9 @@ class ContinuousSum(_Value):
         docstring), at every x.  Identically zero; exposed as an
         exact-arithmetic test hook.  Inputs must be finite rationals.
         """
-        xf = _as_fraction(x, "x")
+        s, w, scale = self._start(*_point(x, EXACT))
         raw = (((self.n - 1, 1),), 1)
-        return self._measure.sum(xf - self._hi, raw) - self._measure.sum(self._lo - xf, raw)
+        return self._measure.sum(s, scale, raw) - self._measure.sum(-s - w, scale, raw)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
@@ -695,7 +711,7 @@ class ContinuousSum(_Value):
         half_tol = (0.5 * hi - 0.5 * lo) * 2.0 ** -40
         mid = 0.5 * lo + 0.5 * hi
         while 0.5 * hi - 0.5 * lo > half_tol and lo < mid < hi:
-            if self.cdf(Fraction(mid)).value < qf:
+            if self._tau(*self._start(*mid.as_integer_ratio()), self.n, 1) < qf:
                 lo = mid
             else:
                 hi = mid
@@ -745,8 +761,7 @@ class ContinuousSum(_Value):
         measure._check(_bound(measure.steps) * (n + 2), "a piece table")
         keys, weights = measure.full
         den = measure.den
-        scale = math.lcm(den, self._hi.denominator)
-        shift = self._hi.numerator * (scale // self._hi.denominator)
+        scale, shift, _ = self._origin
         knots, residuals = [], []
         for k in reversed(keys):
             num = shift - k * (scale // den)
@@ -756,7 +771,8 @@ class ContinuousSum(_Value):
             residuals.append((num * q - p * scale) / (scale * q))
         # The CDF's coefficient of z^r is c_r unit^r den^(r - n) / norm_n, the
         # density's of z^(r - 1) is r c_r unit^(r - 1) den^(r - n) / norm_n.
-        # Each column is (index into c + [before], numerator, denominator):
+        # Each column is (index into c + [before], numerator, denominator) in
+        # lowest terms, which rounds the same quotients from smaller integers:
         # the CDF's n + 1 columns and left top, then the density's n and left top.
         u, norm = self._unit, self._polys[n][1]
         cdf = [(r, u.numerator ** r * norm.denominator,
@@ -765,10 +781,9 @@ class ContinuousSum(_Value):
                     u.denominator ** (r - 1) * den ** (n - r) * norm.numerator)
                    for r in range(1, n + 1)]
         plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
-        rows = []
-        for c, before in _knot_rows(keys, weights, n):
-            ext = c + [before]
-            rows.append([ext[r] * m / d for r, m, d in plan])
+        plan = [(r, *Fraction(m, d).as_integer_ratio()) for r, m, d in plan]
+        rows = [[ext[r] * m / d for r, m, d in plan]
+                for ext in (c + [before] for c, before in _knot_rows(keys, weights, n))]
         table = np.array(rows).T.copy()
         knots = np.array(knots)
         splits = np.append(knots[:-1] + 0.5 * np.diff(knots), math.inf)

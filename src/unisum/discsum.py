@@ -93,12 +93,12 @@ def csc_coefficient(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _lattice_point(p) -> int:
-    """p as an int; ValueError unless it is integral."""
+    """p as an int; ValueError unless it is integral and not a bool."""
     try:
-        point = Fraction(p)
+        point = p if isinstance(p, (int, Fraction)) else Fraction(p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"p must be an integer, got {p!r}") from exc
-    if point.denominator != 1:
+    if point.denominator != 1 or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {p!r}")
     return point.numerator
 
@@ -181,15 +181,15 @@ class DiscreteSum(_Value):
         The vertex arguments are integers of the parity of n, so no zero
         argument meets the constant term (that needs odd n, whose arguments
         are odd)."""
-        return self._measure.sum(2 * (point - self.span) - self.n, self._laurent)
+        return self._measure.sum(2 * (point - self.span) - self.n, 1, self._laurent)
 
     # -- public operations ---------------------------------------------------
 
     def pmf_tau(self, p: int) -> Fraction:
         """P(S = p) via the step-function form, as an exact rational.
 
-        p must be integral (an int, or a float or Fraction equal to one);
-        anything else raises ValueError.
+        p must be integral (an int other than a bool, or a float or Fraction
+        equal to one); anything else raises ValueError.
         """
         return self._pmf(_lattice_point(p))
 

@@ -112,6 +112,13 @@ def monomial(e: int) -> tuple:
     return ((e, 1),), 1
 
 
+def tau_sum(measure, start, poly, path=None) -> Fraction:
+    """measure.sum at a rational start, as an integer over the least scale den divides."""
+    start = Fraction(start)
+    scale = math.lcm(measure.den, start.denominator)
+    return measure.sum(start.numerator * (scale // start.denominator), scale, poly, path)
+
+
 # brute-force vertex enumeration ---------------------------------------------
 #
 # The reference for every closed form: one term per sign vector of

@@ -459,7 +459,7 @@ class TestBruteForceReference:
             want = sum(c * helpers.brute_vertex_sum(x - centre, avec, r, "tau")
                        for r, c in terms.items()) / divisor
             for path in PATHS:
-                assert s._measure.sum(x - hi, poly, path=path) == want, (path, x, poly)
+                assert helpers.tau_sum(s._measure, x - hi, poly, path) == want, (path, x, poly)
 
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
@@ -481,11 +481,11 @@ class TestBruteForceReference:
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
         counts = [2 * m + 1 for m in ms]
         for path in PATHS:  # the Laurent polynomial of the PMF, n odd or even
-            assert d._measure.sum(2 * p - sum(counts), d._laurent, path=path) == pmf, (path, p)
+            assert d._measure.sum(2 * p - sum(counts), 1, d._laurent, path) == pmf, (path, p)
         for e in range(len(ms) - 1, -1, -2):
             want = helpers.brute_vertex_sum(2 * p, counts, e, "tau")
             for path in PATHS:
-                assert d._measure.sum(2 * p - sum(counts), helpers.monomial(e), path=path) \
+                assert d._measure.sum(2 * p - sum(counts), 1, helpers.monomial(e), path) \
                     == want, (path, e, p)
         # the raw sum at e = n is not zero, so the measure needs one more exponent
         measure = contsum.VertexMeasure([2 * c for c in counts], len(ms))
@@ -502,8 +502,8 @@ def assert_mirror_identities(measure, start, e, shift, half_widths):
     want = {form: helpers.brute_vertex_sum(shift, half_widths, e, form)
             for form in ("tau", "raw", "sign")}
     for path in PATHS:
-        at = measure.sum(start, helpers.monomial(e), path=path)
-        across = measure.sum(mirror, helpers.monomial(e), path=path)
+        at = helpers.tau_sum(measure, start, helpers.monomial(e), path)
+        across = helpers.tau_sum(measure, mirror, helpers.monomial(e), path)
         assert at == want["tau"], (path, e, start)
         assert at + sign * across == want["raw"], (path, e, start)
         assert at - sign * across == want["sign"], (path, e, start)
@@ -554,7 +554,8 @@ class TestVertexPaths:
             spent.append(measure._spent)
             taken.append(measure._choose())
             poly = helpers.monomial(model.n)
-            assert measure.sum(start, poly) == model._measure.sum(start, poly, path=first)
+            assert helpers.tau_sum(measure, start, poly) == \
+                helpers.tau_sum(model._measure, start, poly, first)
         assert taken[0] == first and taken[-1] == last
         assert taken == sorted(taken, key=taken.index)  # no path returns
         assert set(measure._parts) == {last}
@@ -655,6 +656,92 @@ class TestScaleAndShift:
             assert fn(yf, FLOAT).value == float(fn(F(yf)).value)
 
 
+def _forced(model, path):
+    """A copy of model, with no caches, whose vertex sums all take path."""
+    copy = type(model)(model.components)
+    copy._measure._path, copy._measure._due = path, math.inf
+    return copy
+
+
+def _spellings(x):
+    """(x as given, the rational it stands for): a Fraction, a str, a float and,
+    if integral, an int."""
+    out = [(x, x), (str(x), x), (float(x), F(float(x)))]
+    return out + [(int(x), x)] if x.denominator == 1 else out
+
+
+class TestPointPath:
+    """The integer start and the per-polynomial plans, on every forced path."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_point_form(self, data):
+        pairs = data.draw(helpers.mixed_component_lists(max_n=5), label="pairs")
+        s = ContinuousSum.from_pairs(pairs)
+        lo, hi = s.support()
+        # den divides no denominator of 1 / (3 den), so every point but lo and
+        # hi themselves has m = scale / den > 1
+        eps = F(1, 3 * s._measure.den)
+        kink = data.draw(st.sampled_from(s.breakpoints()), label="kink")
+        inside = lo + (hi - lo) * data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=97), label="t")
+        xs = [lo, hi, lo - eps, hi + eps, kink, kink + eps, inside, F(round(inside))]
+        forms = ("density_tau", "density_sign", "cdf", "cool_identity_residual")
+        models = [_forced(s, path) for path in PATHS]
+        for x in xs:
+            for given_x, exact_x in _spellings(x):
+                want = {what: helpers.brute_continuous(pairs, exact_x, what) for what in forms}
+                for model in models:
+                    got = {what: getattr(model, what)(given_x) for what in forms}
+                    got = {what: getattr(v, "value", v) for what, v in got.items()}
+                    assert got == want, (model._measure._path, given_x)
+                    if isinstance(given_x, float):
+                        assert model.cdf(given_x, FLOAT).value == float(want["cdf"])
+
+        ms = data.draw(helpers.half_range_lists(max_n=5, m_max=4), label="ms")
+        d = DiscreteSum.from_half_ranges(ms)
+        p = data.draw(st.integers(-d.span - 1, d.span + 1), label="p")
+        for point in {p, -d.span, d.span, -d.span - 1, d.span + 1}:
+            want = helpers.brute_pmf(ms, point, "tau"), helpers.brute_pmf(ms, point, "sign")
+            for given_p, _ in _spellings(F(point)):
+                for model in (_forced(d, path) for path in PATHS):
+                    assert (model.pmf_tau(given_p), model.pmf_sign(given_p)) == want, \
+                        (model._measure._path, given_p)
+
+    def test_shared_model_at_mixed_scales(self):
+        # eight threads share one model and meet its plans at interleaved
+        # scales: 1/8-grid points (m = 1), 1/512, thirds, doubles and ints
+        model = _grid_model(14, 10)
+        lo, hi = model.support()
+        xs = [lo + (hi - lo) * F(i, 17) for i in range(18)] + [F(i, 512) for i in range(-9, 9)]
+        xs += [F(i, 3) for i in range(-6, 6)] + [0.1 * i for i in range(-6, 6)] + [-2, 0, 3]
+        disc = DiscreteSum.from_half_ranges([5, 9, 14] * 3)
+        ps = list(range(-12, 12))
+        fresh = ContinuousSum(model.components), DiscreteSum(disc.components)
+        want = ([(fresh[0].density_tau(x), fresh[0].cdf(x), fresh[0].density_sign(x))
+                 for x in xs], [fresh[1].pmf_tau(p) for p in ps])
+        results = []
+
+        def worker(k):
+            got = {x: (model.density_tau(x), model.cdf(x), model.density_sign(x))
+                   for x in xs[k:] + xs[:k]}
+            pmfs = {p: disc.pmf_tau(p) for p in ps[k:] + ps[:k]}
+            results.append(([got[x] for x in xs], [pmfs[p] for p in ps]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(3 * k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+
+
 def _table_maximum(s, exponent):
     """The largest sum_r |c_r| |z|^r of the piece table, |z| half a piece."""
     knots, _, _, tables = s._pieces
@@ -717,6 +804,35 @@ class TestBatch:
             want = np.array([scalar(x, FLOAT).value for x in tails])
             assert np.all(want > 0)
             assert np.all(np.abs(batch(tails) - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("s", [
+        ContinuousSum.from_pairs([(0, 1)] * 12),
+        _eighths(9, 9),
+        _generic_shifted(9, 9)], ids=["12-identical", "eighths-9", "generic-9"])
+    def test_table_rounded_once(self, s):
+        # every entry is float() of its exact coefficient, derived here from
+        # the moments of the measure about each knot hi - k / den: right of it
+        # the CDF is sum over keys k_t >= k of w_t (unit z + (k_t - k) / den)^n
+        # over its norm, and the density its derivative in x
+        knots, _, _, tables = s._pieces
+        keys, weights = s._measure.full
+        n, den, u, norm = s.n, s._measure.den, s._unit, s._polys[s.n][1]
+        moments = [0] * (n + 1)
+        for i, (k, w) in enumerate(zip(reversed(keys), reversed(weights))):
+            moments = [acc + w * k ** j for j, acc in enumerate(moments)]
+            about = [sum(math.comb(p, j) * (-k) ** (p - j) * moments[j] for j in range(p + 1))
+                     for p in range(n + 1)]  # sum over k_t >= k of w_t (k_t - k)^p
+            cdf = [math.comb(n, r) * u ** r * F(about[n - r], den ** (n - r)) / norm
+                   for r in range(n + 1)]
+            left = u ** n * (about[0] - w) / norm  # the top coefficient left of the knot
+            columns, top = tables[n]
+            assert [column[i] for column in columns] == [float(c) for c in cdf]
+            assert top[i] == float(left)
+            columns, top = tables[n - 1]
+            assert [column[i] for column in columns] == [float(r * c / u)
+                                                         for r, c in enumerate(cdf) if r]
+            assert top[i] == float(n * left / u)
+        assert i + 1 == len(knots)
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_many_identical(self, n):

@@ -119,6 +119,17 @@ class TestPmfValues:
                 d.pmf_sign(p)
         assert d.pmf_tau(2.0) == d.pmf_tau(2) == d.pmf_tau(F(4, 2)) == F(2, 15)
 
+    def test_bool_point_rejected(self):
+        # True is no lattice point, though Fraction(True) == 1: csc_coefficient
+        # and DiscreteComponent reject bools too
+        d = DiscreteSum.from_half_ranges([1, 2])
+        for p in (True, False):
+            with pytest.raises(ValueError, match="p must be an integer"):
+                d.pmf_tau(p)
+            with pytest.raises(ValueError, match="p must be an integer"):
+                d.pmf_sign(p)
+        assert d.pmf_tau(1) == d.pmf_tau("1") == F(1, 5)
+
 
 class TestPmfProperties:
     @given(helpers.half_range_lists(max_n=8, m_max=4),
