@@ -1,6 +1,10 @@
 """Command line front end: evaluate, tabulate, emit CSV, cross-validate.
 
 Subcommands: density, cdf, quantile, pmf, table, coeffs, verify, sample.
+The command table _COMMANDS is the one place where each subcommand's help
+line, model, options and runner are stated, and _JOB_DEFAULTS the one place
+for every default; a call builds the parser of its own subcommand only.
+`unisum -h` lists the subcommands, `unisum <command> -h` one's options.
 Continuous models are given as repeated `--comp c:a` pairs, discrete ones as
 repeated `--m k`; `--config FILE` reads the same data from a plain text file
 with one component per line (`c a`, or a single `m`), validated like the
@@ -8,10 +12,12 @@ flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
 full pmf support, may hold at most 10**6 points, and sample and verify may
-draw at most 10**6 values (--count); a model over the capacity rule stated
-above MEASURE_MAX in errors.py fails at its first point.  All three exit
-with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
---count at least 1; anything else is a usage error (exit 2).
+draw at most 10**6 values (--count); a verify --step whose convolutions
+would take more than 2**32 cells and multiply-adds is refused, and a model
+over the capacity rule stated above MEASURE_MAX in errors.py fails at its
+first point.  All four exit with 1.  --n-max must be at least 1, --k-max
+and --seed at least 0, and --count at least 1; anything else is a usage
+error (exit 2).
 
 Only sample and verify import numpy, through the oracles module, when they
 run; the other subcommands are pure integer and Fraction code.  Importing
@@ -153,104 +159,6 @@ def _config_pair(text: str):
     return _comp_pair(":".join(tokens))
 
 
-# command -> (model flag, config line parser, model builder, JobSpec field)
-_CONTINUOUS = ("comp", _config_pair, ContinuousSum.from_pairs, "continuous")
-_MODELS = {
-    "density": _CONTINUOUS, "cdf": _CONTINUOUS, "quantile": _CONTINUOUS,
-    "table": _CONTINUOUS, "sample": _CONTINUOUS,
-    "pmf": ("m", _integer_from(0), DiscreteSum.from_half_ranges, "discrete"),
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="unisum", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_model_args(p, continuous: bool):
-        if continuous:
-            p.add_argument("--comp", action="append", type=_comp_pair, default=[],
-                           metavar="C:A", help="uniform component on [c-a, c+a]")
-        else:
-            p.add_argument("--m", action="append", type=_integer_from(0), default=[],
-                           metavar="K", help="integer uniform on [-k, k]")
-        p.add_argument("--config", metavar="FILE",
-                       help="read components from a file, one per line")
-        p.add_argument("--dump-config", metavar="FILE",
-                       help="write the parsed components back out")
-
-    def add_mode_args(p):
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--exact", action="store_true", help="exact rationals (default)")
-        g.add_argument("--float", dest="float_", action="store_true",
-                       help="the exact value rounded to a double")
-        p.add_argument("--no-condition", action="store_true",
-                       help="omit the condition column in float mode")
-
-    def add_points_args(p):
-        p.add_argument("--at", type=_rational, metavar="X", help="evaluation point")
-        p.add_argument("--from", dest="lo", type=_rational, metavar="LO")
-        p.add_argument("--to", dest="hi", type=_rational, metavar="HI")
-        p.add_argument("--step", type=_positive_rational, metavar="S")
-
-    def add_output_args(p):
-        p.add_argument("--csv", action="store_true", help="CSV output")
-        p.add_argument("--out", metavar="FILE", help="write output to a file")
-
-    for name, doc in (("density", "evaluate the density"),
-                      ("cdf", "evaluate the CDF")):
-        p = sub.add_parser(name, help=doc)
-        add_model_args(p, True)
-        add_mode_args(p)
-        add_points_args(p)
-        add_output_args(p)
-
-    p = sub.add_parser("quantile", help="invert the CDF")
-    add_model_args(p, True)
-    p.add_argument("--q", type=_rational, metavar="Q", help="probability level")
-    add_output_args(p)
-
-    p = sub.add_parser("pmf", help="discrete mass function (always exact)")
-    add_model_args(p, False)
-    p.add_argument("--at", type=_integer, metavar="P", help="integer point")
-    add_output_args(p)
-
-    p = sub.add_parser("table", help="five-decimal CDF table")
-    add_model_args(p, True)
-    add_mode_args(p)
-    add_points_args(p)
-    add_output_args(p)
-
-    def add_coeff_args(p):
-        p.add_argument("--n-max", type=_integer_from(1), default=10)
-        p.add_argument("--k-max", type=_integer_from(0), default=6)
-
-    def add_draw_args(p, count: int, what: str):
-        p.add_argument("--count", type=_integer_from(1), default=count,
-                       help=f"{what}, at most {_GRID_MAX}")
-        p.add_argument("--seed", type=_integer_from(0), default=0)
-
-    p = sub.add_parser("coeffs", help="reciprocal-sine Laurent coefficients")
-    add_coeff_args(p)
-    add_output_args(p)
-
-    p = sub.add_parser("verify", help="run the oracle cross-validation suites")
-    p.add_argument("--suite", choices=("all", "coeffs", "disc", "cont"),
-                   default="all")
-    add_coeff_args(p)
-    add_draw_args(p, 20000, "Monte Carlo sample size")
-    p.add_argument("--step", dest="grid_step", type=_positive_rational,
-                   default=Fraction(1, 256), metavar="STEP",
-                   help="grid step for the convolution oracle")
-    add_output_args(p)
-
-    p = sub.add_parser("sample", help="draw reproducible samples of the sum")
-    add_model_args(p, True)
-    add_draw_args(p, 10, "number of draws")
-    add_output_args(p)
-
-    return parser
-
-
 def _load_config(path: str, parse_line):
     """One component per non-blank line (`#` starts a comment), via parse_line."""
     try:
@@ -291,15 +199,12 @@ def _dump_config(path: str, spec: JobSpec):
     _write(path, "\n".join(lines) + "\n")
 
 
-# options whose value may start with "-", such as `--comp -1:1/4` or `--at -1/2`
-_SIGNED_OPTIONS = {"--comp", "--at", "--q", "--from", "--to", "--step"}
-
-
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Join `--opt -v` into `--opt=-v`: argparse takes `-1/2` for an option."""
+def _attach_signed_values(argv: list[str], signed: set) -> list[str]:
+    """Join `--opt -v` into `--opt=-v` for the options in signed, such as
+    `--comp -1:1/4` or `--at -1/2`: argparse takes `-1/2` for an option."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and re.match(r"-[\d.]", token):
+        if out and out[-1] in signed and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -308,36 +213,55 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 def parse_args(argv: list[str]) -> JobSpec:
     """Parse an argv list into a validated JobSpec; raises UsageError."""
-    ns = _build_parser().parse_args(_attach_signed_values(argv))
-    spec = JobSpec(ns.command, **{name: getattr(ns, name) for name in _JOB_DEFAULTS
-                                  if hasattr(ns, name)})
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        rows = "".join(f"  {name:<9} {entry[0]}\n" for name, entry in _COMMANDS.items())
+        sys.stdout.write(f"usage: unisum <command> [options]\n\n{__doc__.splitlines()[0]}\n\n"
+                         f"commands:\n{rows}\nSee 'unisum <command> -h' for its options.\n")
+        sys.exit(0)
+    if command not in _COMMANDS:
+        raise UsageError(f"{'unknown command ' + repr(command) if argv else 'missing command'}"
+                         f"; choose from {', '.join(_COMMANDS)}")
+    _, kind, groups, _, overrides = _COMMANDS[command]
+    # unset options stay out of the namespace: their defaults are JobSpec's
+    parser = _Parser(prog=f"unisum {command}", argument_default=argparse.SUPPRESS)
+    signed = set()
+    model = (_MODEL_KINDS[kind][0], *_MODEL_FILES) if kind else ()
+    for group in (*model, *groups, *_OUTPUT):
+        options, target = (group, parser.add_mutually_exclusive_group()) \
+            if isinstance(group, list) else ([group], parser)
+        for flag, keywords in options:
+            target.add_argument(flag, **keywords)
+            if keywords.get("type") in (_rational, _positive_rational, _comp_pair):
+                signed.add(flag)
+    ns = vars(parser.parse_args(_attach_signed_values(argv[1:], signed)))
+    spec = JobSpec(command, **{**overrides,
+                               **{name: v for name, v in ns.items() if name in _JOB_DEFAULTS}})
 
-    if ns.command in _MODELS:
-        flag, parse_line, build, model = _MODELS[ns.command]
-        items = getattr(ns, flag)
-        if ns.config:
+    if kind:
+        (flag, _), parse_line, build = _MODEL_KINDS[kind]
+        items = ns.get(flag[2:], [])
+        if ns.get("config"):
             if items:
-                raise UsageError(f"give components via --{flag} or --config, not both")
-            items = _load_config(ns.config, parse_line)
+                raise UsageError(f"give components via {flag} or --config, not both")
+            items = _load_config(ns["config"], parse_line)
         if not items:
-            raise UsageError(f"{ns.command} needs at least one --{flag}")
-        setattr(spec, model, build(items))
+            raise UsageError(f"{command} needs at least one {flag}")
+        setattr(spec, kind, build(items))
 
-    if getattr(ns, "float_", False):
-        spec.mode = EvalMode("float", report_condition=not ns.no_condition)
-    elif getattr(ns, "no_condition", False):
+    if ns.get("float_"):
+        spec.mode = EvalMode("float", report_condition=not ns.get("no_condition"))
+    elif ns.get("no_condition"):
         raise UsageError("--no-condition only applies to --float")
 
-    if ns.command in ("density", "cdf"):
-        has_range = ns.lo is not None and ns.hi is not None and ns.step is not None
-        if ns.at is None and not has_range:
-            raise UsageError(
-                f"{ns.command} needs --at X or a full --from/--to/--step range")
-    if ns.command == "quantile":
-        if ns.q is None:
+    if command in ("density", "cdf") and spec.at is None \
+            and None in (spec.lo, spec.hi, spec.step):
+        raise UsageError(f"{command} needs --at X or a full --from/--to/--step range")
+    if command == "quantile":
+        if spec.q is None:
             raise UsageError("quantile needs --q")
-        if not 0 <= ns.q <= 1:
-            raise UsageError(f"--q must lie in [0, 1], got {ns.q}")
+        if not 0 <= spec.q <= 1:
+            raise UsageError(f"--q must lie in [0, 1], got {spec.q}")
     return spec
 
 
@@ -349,8 +273,11 @@ def parse_args(argv: list[str]) -> JobSpec:
 _GRID_MAX = 10 ** 6
 
 
-def _grid(lo, hi, step) -> list:
-    """lo, lo + step, ... up to hi (step > 0); at most _GRID_MAX points."""
+def _points(spec: JobSpec, lo, hi, step) -> list:
+    """[--at] if given, else lo, lo + step, ... up to hi (step > 0); at most
+    _GRID_MAX points."""
+    if spec.at is not None:
+        return [spec.at]
     count = (hi - lo) // step + 1
     if count > _GRID_MAX:
         raise CapacityError(f"a grid of {count} points exceeds the limit of {_GRID_MAX}")
@@ -367,7 +294,7 @@ def _check_draws(count: int) -> None:
 # Runners
 # ---------------------------------------------------------------------------
 
-def _run_points(spec: JobSpec) -> str:
+def _run_points(spec: JobSpec):
     """density, cdf or pmf at --at or over a grid: one text or CSV row per point."""
     if spec.command == "pmf":
         dsum = spec.discrete
@@ -386,7 +313,7 @@ def _run_points(spec: JobSpec) -> str:
     if exact or condition:
         columns.append("exact" if exact else "condition")
     lines = [",".join(columns)] if spec.csv else []
-    for x in [spec.at] if spec.at is not None else _grid(lo, hi, step):
+    for x in _points(spec, lo, hi, step):
         r = evaluate(x)
         if exact:
             cells = [format_decimal(r.value), str(r.value)] if spec.csv \
@@ -397,7 +324,7 @@ def _run_points(spec: JobSpec) -> str:
                 c = r.condition_estimate
                 cells.append(repr(c) if spec.csv else f"cond={c:.3g}")
         lines.append(("," if spec.csv else "\t").join([format_decimal(x), *cells]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
 def run_table(spec: JobSpec) -> str:
@@ -418,7 +345,7 @@ def run_table(spec: JobSpec) -> str:
         f"# mode: {spec.mode.kind}",
     ]
     rows = []
-    for x in [spec.at] if spec.at is not None else _grid(lo, hi, step):
+    for x in _points(spec, lo, hi, step):
         r = csum.cdf(x, spec.mode)
         rows.append((format_decimal(x), format_fixed(r.value, 5)))
     if spec.csv:
@@ -429,24 +356,24 @@ def run_table(spec: JobSpec) -> str:
     return "\n".join(head + body) + "\n"
 
 
-def _run_coeffs(spec: JobSpec) -> str:
+def _run_coeffs(spec: JobSpec):
     lines = ["n,k,value,exact"] if spec.csv else []
     for n in range(1, spec.n_max + 1):
         for k in range(spec.k_max + 1):
             b = discsum.csc_coefficient(n, k)
             lines.append(f"{n},{k},{format_decimal(b)},{b}" if spec.csv
                          else f"b(n={n}, k={k}) = {b}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
-def _run_sample(spec: JobSpec) -> str:
+def _run_sample(spec: JobSpec):
     _check_draws(spec.count)
     from . import oracles
 
     draws = oracles.sample_sum(spec.continuous, spec.count, spec.seed)
     lines = ["value"] if spec.csv else []
     lines += [repr(float(v)) for v in draws]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
 # ---------------------------------------------------------------------------
@@ -530,35 +457,96 @@ def _verify_cont(spec: JobSpec, lines: list[str]) -> bool:
     return ok
 
 
+_SUITES = {"coeffs": _verify_coeffs, "disc": _verify_disc, "cont": _verify_cont}
+
+
 def run_verify(spec: JobSpec):
     """Run the requested suites; returns (report_text, all_passed)."""
     _check_draws(spec.count)
     lines: list[str] = []
     ok = True
-    if spec.suite in ("all", "coeffs"):
-        ok = _verify_coeffs(spec, lines) and ok
-    if spec.suite in ("all", "disc"):
-        ok = _verify_disc(spec, lines) and ok
-    if spec.suite in ("all", "cont"):
-        ok = _verify_cont(spec, lines) and ok
+    for name, suite in _SUITES.items():
+        if spec.suite in ("all", name):
+            ok = suite(spec, lines) and ok
     lines.append("verification " + ("passed" if ok else "FAILED"))
     return "\n".join(lines) + "\n", ok
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# The command table
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "density": _run_points,
-    "cdf": _run_points,
-    "quantile": lambda spec: repr(spec.continuous.quantile(spec.q)) + "\n",
-    "pmf": _run_points,
-    "table": run_table,
-    "coeffs": _run_coeffs,
-    "sample": _run_sample,
+# An option is (flag, argparse keywords), and a list of options a mutually
+# exclusive group.  No option states a default: an unset option takes its
+# JobSpec field's from _JOB_DEFAULTS.
+_MODEL_FILES = (
+    ("--config", {"metavar": "FILE", "help": "read components from a file, one per line"}),
+    ("--dump-config", {"metavar": "FILE", "help": "write the parsed components back out"}),
+)
+_MODE = (
+    [("--exact", {"action": "store_true", "help": "exact rationals (default)"}),
+     ("--float", {"dest": "float_", "action": "store_true",
+                  "help": "the exact value rounded to a double"})],
+    ("--no-condition", {"action": "store_true",
+                        "help": "omit the condition column in float mode"}),
+)
+_POINTS = (
+    ("--at", {"type": _rational, "metavar": "X", "help": "evaluation point"}),
+    ("--from", {"dest": "lo", "type": _rational, "metavar": "LO"}),
+    ("--to", {"dest": "hi", "type": _rational, "metavar": "HI"}),
+    ("--step", {"type": _positive_rational, "metavar": "S"}),
+)
+_COEFFS = (("--n-max", {"type": _integer_from(1)}), ("--k-max", {"type": _integer_from(0)}))
+_SEED = ("--seed", {"type": _integer_from(0)})
+# every command's options end with these
+_OUTPUT = (
+    ("--csv", {"action": "store_true", "help": "CSV output"}),
+    ("--out", {"metavar": "FILE", "help": "write output to a file"}),
+)
+
+# model kind, the JobSpec field it fills -> (its option, which --config
+# FILE gives one per line; the parser of such a line; the model builder)
+_MODEL_KINDS = {
+    "continuous": (("--comp", {"action": "append", "type": _comp_pair, "metavar": "C:A",
+                               "help": "uniform component on [c-a, c+a]"}),
+                   _config_pair, ContinuousSum.from_pairs),
+    "discrete": (("--m", {"action": "append", "type": _integer_from(0), "metavar": "K",
+                          "help": "integer uniform on [-k, k]"}),
+                 _integer_from(0), DiscreteSum.from_half_ranges),
 }
 
+# command -> (help line, model kind or None, options after the model's,
+# runner, JobSpec fields that differ from _JOB_DEFAULTS).  A runner takes the
+# JobSpec and returns (text, ok); the command exits 1 unless ok.
+_COMMANDS = {
+    "density": ("evaluate the density", "continuous", _MODE + _POINTS, _run_points, {}),
+    "cdf": ("evaluate the CDF", "continuous", _MODE + _POINTS, _run_points, {}),
+    "quantile": ("invert the CDF", "continuous",
+                 (("--q", {"type": _rational, "metavar": "Q", "help": "probability level"}),),
+                 lambda spec: (repr(spec.continuous.quantile(spec.q)) + "\n", True), {}),
+    "pmf": ("discrete mass function (always exact)", "discrete",
+            (("--at", {"type": _integer, "metavar": "P", "help": "integer point"}),),
+            _run_points, {}),
+    "table": ("five-decimal CDF table", "continuous", _MODE + _POINTS,
+              lambda spec: (run_table(spec), True), {}),
+    "coeffs": ("reciprocal-sine Laurent coefficients", None, _COEFFS, _run_coeffs, {}),
+    "verify": ("run the oracle cross-validation suites", None, (
+        ("--suite", {"choices": ("all", *_SUITES)}), *_COEFFS,
+        ("--count", {"type": _integer_from(1),
+                     "help": f"Monte Carlo sample size, at most {_GRID_MAX}"}), _SEED,
+        ("--step", {"dest": "grid_step", "type": _positive_rational, "metavar": "STEP",
+                    "help": "grid step for the convolution oracle"}),
+    ), run_verify, {"count": 20000}),
+    "sample": ("draw reproducible samples of the sum", "continuous", (
+        ("--count", {"type": _integer_from(1), "help": f"number of draws, at most {_GRID_MAX}"}),
+        _SEED,
+    ), _run_sample, {}),
+}
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
@@ -572,12 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if spec.dump_config:
             _dump_config(spec.dump_config, spec)
-        if spec.command == "verify":
-            text, ok = run_verify(spec)
-            status = 0 if ok else 1
-        else:
-            text = _RUNNERS[spec.command](spec)
-            status = 0
+        text, ok = _COMMANDS[spec.command][3](spec)
         if spec.out:
             _write(spec.out, text)
     except (CapacityError, ModeError, ValueError) as exc:
@@ -586,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if not spec.out:
         sys.stdout.write(text)
-    return status
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -226,10 +226,11 @@ class EvalResult(_Value):
 
 
 def _point(x, mode: EvalMode) -> tuple:
-    """The evaluation point as an integer ratio; float mode first rounds it to a double."""
+    """The evaluation point as an integer ratio; float mode first rounds it, or
+    the rational a string names, to a double."""
     if mode.is_exact:
         return (x if isinstance(x, (int, Fraction)) else _as_fraction(x, "x")).as_integer_ratio()
-    xv = _rounded(x)
+    xv = _rounded(x if isinstance(x, (int, float, Fraction)) else _as_fraction(x, "x"))
     if not math.isfinite(xv):
         raise ValueError(f"x must round to a finite double in float mode, got {xv}")
     return xv.as_integer_ratio()

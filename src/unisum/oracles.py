@@ -32,6 +32,9 @@ __all__ = [
 # Largest prod_j (2 m_j + 1) the lattice-count oracle will attempt.
 DISCRETE_ORACLE_CAP = 10 ** 7
 
+# Most cells plus convolution multiply-adds the grid oracle will attempt.
+_CONV_WORK_MAX = 2 ** 32
+
 
 # ---------------------------------------------------------------------------
 # Truncated even power series over the rationals
@@ -140,17 +143,24 @@ def continuous_conv_oracle(csum: ContinuousSum, grid_step: float):
     neighborhoods.
 
     Returns (grid, values) as float arrays; grid point k sits at
-    sum_j lo_j + (k + n/2) * grid_step.
+    sum_j lo_j + (k + n/2) * grid_step.  CapacityError, before any array is
+    made, if the cells and the multiply-adds of the direct convolutions
+    exceed _CONV_WORK_MAX (2**32).
     """
     h = float(grid_step)
     if not h > 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step!r}")
+    cells = [math.ceil(min(2.0 * float(c.half_width) / h, _CONV_WORK_MAX)) + 1
+             for c in csum.components]
+    work = sum(cells) + sum((sum(cells[:j]) - j + 1) * cells[j] for j in range(1, len(cells)))
+    if work > _CONV_WORK_MAX:
+        raise CapacityError(f"a convolution at grid step {h:g} takes {work} cells and "
+                            f"multiply-adds, above the limit of {_CONV_WORK_MAX}")
     vals = None
     start = 0.0
-    for comp in csum.components:
+    for comp, ncells in zip(csum.components, cells):
         lo = float(comp.lo)
         width = 2.0 * float(comp.half_width)
-        ncells = int(math.ceil(width / h)) + 1
         edges = lo + h * np.arange(ncells + 1)
         left = np.maximum(edges[:-1], lo)
         right = np.minimum(edges[1:], lo + width)

@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 from test_cli_golden import GOLDEN, MODEL, RANGE
-from unisum import ContinuousSum, DiscreteSum, discsum
+from unisum import ContinuousSum, DiscreteSum, cli, discsum
 from unisum.cli import (
     JobSpec,
     UsageError,
@@ -393,6 +393,115 @@ class TestVerify:
                            "--n-max", "3", "--k-max", "2")
         assert code == 1
         assert "MISMATCH" in out and "FAIL" in out
+
+
+COMMANDS = ["density", "cdf", "quantile", "pmf", "table", "coeffs", "verify", "sample"]
+# each command with the fewest options that parse
+MINIMAL = {
+    "density": ["--comp", "0:1", "--at", "0"],
+    "cdf": ["--comp", "0:1", "--at", "0"],
+    "quantile": ["--comp", "0:1", "--q", "1/2"],
+    "pmf": ["--m", "1"],
+    "table": ["--comp", "0:1"],
+    "coeffs": [],
+    "verify": [],
+    "sample": ["--comp", "0:1"],
+}
+
+
+def _table_options(command):
+    """(flag, argparse keywords) of every option the command table gives command."""
+    _, kind, groups, _, _ = cli._COMMANDS[command]
+    model = (cli._MODEL_KINDS[kind][0], *cli._MODEL_FILES) if kind else ()
+    for group in (*model, *groups, *cli._OUTPUT):
+        yield from group if isinstance(group, list) else [group]
+
+
+def _outcome(argv):
+    """The JobSpec argv parses to, or the message of its UsageError."""
+    try:
+        return parse_args(argv)
+    except UsageError as exc:
+        return str(exc)
+
+
+class TestCommandTable:
+    def test_table_names_the_eight_commands(self):
+        assert list(cli._COMMANDS) == COMMANDS and set(MINIMAL) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_parser_per_call(self, monkeypatch, command):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        parse_args([command, *MINIMAL[command]])
+        assert built == [f"unisum {command}"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unset_fields_are_job_defaults(self, command):
+        spec = parse_args([command, *MINIMAL[command]])
+        given = {"continuous", "discrete", "at", "q"}
+        want = dict(cli._JOB_DEFAULTS, count=20000) if command == "verify" \
+            else cli._JOB_DEFAULTS
+        assert {name: getattr(spec, name) for name in want if name not in given} == \
+            {name: value for name, value in want.items() if name not in given}
+        assert spec.count == (20000 if command == "verify" else 10)
+
+    def test_rational_options_take_negative_values(self):
+        seen = set()
+        for command in COMMANDS:
+            for flag, keywords in _table_options(command):
+                kind = keywords.get("type")
+                if kind not in (cli._rational, cli._positive_rational, cli._comp_pair):
+                    continue
+                seen.add(flag)
+                value = "-1/2:1" if kind is cli._comp_pair else "-1/2"
+                base = [command, *MINIMAL[command]]
+                separate = _outcome(base + [flag, value])
+                assert separate == _outcome(base + [f"{flag}={value}"]), (command, flag)
+                if kind is cli._positive_rational:
+                    assert separate == "argument " + flag + ": must be > 0: '-1/2'"
+                elif flag != "--q":  # a --q outside [0, 1] is refused after parsing
+                    assert isinstance(separate, JobSpec), (command, flag, separate)
+        assert seen == {"--comp", "--at", "--q", "--from", "--to", "--step"}
+
+    def test_overview(self, capsys):
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as done:
+                main([flag])
+            assert done.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: unisum <command>")
+            assert [line.split()[0] for line in out.splitlines()
+                    if line.startswith("  ")] == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            main([command, "-h"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: unisum {command} [-h]")
+        assert all(flag in out for flag, _ in _table_options(command))
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "missing command; choose from " + ", ".join(COMMANDS)),
+        (["frobnicate"], "unknown command 'frobnicate'; choose from " + ", ".join(COMMANDS)),
+        (["--comp", "0:1"], "unknown command '--comp'; choose from "),
+    ])
+    def test_missing_or_unknown_command(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage error: " + message)
+
+    def test_refused_verify_step_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "cont", "--step", "1/1000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: a convolution at grid step 1e-09 takes ")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

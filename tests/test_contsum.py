@@ -695,8 +695,12 @@ class TestPointPath:
                     got = {what: getattr(model, what)(given_x) for what in forms}
                     got = {what: getattr(v, "value", v) for what, v in got.items()}
                     assert got == want, (model._measure._path, given_x)
+                    # float mode rounds every spelling, a rational string too,
+                    # to the double the float spelling is
+                    got = model.cdf(given_x, FLOAT).value
+                    assert got == model.cdf(float(exact_x), FLOAT).value, given_x
                     if isinstance(given_x, float):
-                        assert model.cdf(given_x, FLOAT).value == float(want["cdf"])
+                        assert got == float(want["cdf"])
 
         ms = data.draw(helpers.half_range_lists(max_n=5, m_max=4), label="ms")
         d = DiscreteSum.from_half_ranges(ms)
@@ -707,6 +711,12 @@ class TestPointPath:
                 for model in (_forced(d, path) for path in PATHS):
                     assert (model.pmf_tau(given_p), model.pmf_sign(given_p)) == want, \
                         (model._measure._path, given_p)
+
+    @pytest.mark.parametrize("x", [F(1, 7), F(-3, 2), F(5, 4), F(7, 2), F(0)])
+    def test_named_forms_round_rational_strings(self, x):
+        assert density_feller(2, 1, str(x), FLOAT) == density_feller(2, 1, float(x), FLOAT)
+        assert density_olds([1, 2], str(x), FLOAT) == density_olds([1, 2], float(x), FLOAT)
+        assert density_olds([1, 2], str(x), FLOAT) == float(density_olds([1, 2], x))
 
     def test_shared_model_at_mixed_scales(self):
         # eight threads share one model and meet its plans at interleaved

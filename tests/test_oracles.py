@@ -130,6 +130,18 @@ class TestContinuousConvOracle:
         with pytest.raises(ValueError):
             continuous_conv_oracle(s, 0.0)
 
+    def test_work_is_capped(self):
+        # at step 1/16384 the two boxes take 32,769 and 65,537 cells and about
+        # 2.1e9 cells and multiply-adds, within the cap; at 1e-9 they would take
+        # about 8e18, refused before any array is made
+        s = ContinuousSum.from_pairs([(0, 1), (0, 2)])
+        with pytest.raises(CapacityError, match="above the limit of 4294967296"):
+            continuous_conv_oracle(s, 1e-9)
+        with pytest.raises(CapacityError):
+            continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)]), 1e-12)
+        with pytest.raises(CapacityError):
+            continuous_conv_oracle(ContinuousSum.from_pairs([(0, 10 ** 300)] * 2), 1.0)
+
 
 class TestSampler:
     def test_deterministic(self):
