@@ -414,8 +414,9 @@ def _verify_disc(spec: JobSpec, lines: list[str]) -> bool:
         if sum(full.values()) != 1:
             ok = False
             lines.append(f"MISMATCH pmf normalization for {dsum}")
+        full.update({p: dsum.pmf_tau(p) for p in (-dsum.span - 1, dsum.span + 1)})
         for p in range(-dsum.span - 1, dsum.span + 2):
-            if dsum.pmf_tau(p) != oracle.get(p, Fraction(0)):
+            if full[p] != oracle.get(p, Fraction(0)):
                 ok = False
                 lines.append(f"MISMATCH pmf({p}) for {dsum}")
                 break

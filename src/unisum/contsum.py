@@ -38,7 +38,9 @@ sums are tau sums T at the start s and the mirrored start -s - K:
 The start of x is x - hi, and its mirror lo - x is the start of
 lo + hi - x.  So the sign-form density at x is the mean of the tau density
 at x and at lo + hi - x, and the vanishing alternating sum is
-T(x - hi) - T(lo - x) at e = n - 1.
+T(x - hi) - T(lo - x) at e = n - 1.  The density is thus symmetric about
+the center and F(x) = 1 - F(lo + hi - x), so the batch piece table walks
+the knots only from lo to the center and mirrors the rest.
 
 The measure factors as A (x) B for any split of the legs into two groups,
 and the sum runs over A only, against suffix moments of B (powers of B's
@@ -91,6 +93,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 
 from .errors import MEASURE_MAX, CapacityError, ModeError
 
@@ -725,8 +728,10 @@ class ContinuousSum(_Value):
     # vertex measure (a univariate box spline).  _pieces holds, at every
     # knot, both Taylor expansions in the length unit _unit: of the piece to
     # its right, and the top coefficient of the piece to its left.  They
-    # come from one exact integer pass over the measure (_knot_rows), and
-    # each is rounded once to a double.  A point finds its piece by
+    # come from one exact integer pass (_knot_rows) from lo to the center,
+    # and each is rounded once to a double; past the center the mirror
+    # identity gives the same doubles up to sign, and the CDF's constant
+    # term one exact division per knot.  A point finds its piece by
     # np.searchsorted and is evaluated by Horner about the nearer knot, at
     # the offset z = (x - knot) / _unit, which carries the knot's rounding
     # residual and so is exact up to its last rounding.  The error is then
@@ -754,7 +759,10 @@ class ContinuousSum(_Value):
         i + 1 (inf for the last).  columns[r][i] is the coefficient of z^r
         about knot i of the piece right of it, left tops[i] the top
         coefficient of the piece left of it.  Checked against the capacity
-        rule (errors.MEASURE_MAX) before anything is built.
+        rule (errors.MEASURE_MAX) before anything is built.  _knot_rows walks
+        the first ceil(K / 2) of the K knots, from lo; the others mirror them:
+        one numpy gather and sign flip, and one exact division per knot for
+        the CDF constant.  Every knot keeps its own exact double and residual.
         """
         import numpy as np
 
@@ -783,9 +791,23 @@ class ContinuousSum(_Value):
                    for r in range(1, n + 1)]
         plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
         plan = [(r, *Fraction(m, d).as_integer_ratio()) for r, m, d in plan]
-        rows = [[ext[r] * m / d for r, m, d in plan]
-                for ext in (c + [before] for c, before in _knot_rows(keys, weights, n))]
-        table = np.array(rows).T.copy()
+        half, rows, starts = (len(keys) + 1) // 2, [], []
+        for c, before in islice(_knot_rows(keys, weights, n), half):
+            ext = c + [before]
+            rows.append([ext[r] * m / d for r, m, d in plan])
+            starts.append(c[0])
+        # Knot i >= half mirrors j = K - 1 - i, as F(x) = 1 - F(lo + hi - x): its
+        # coefficient r >= 1 is (-1)^(r + 1) times j's left of the knot (c_j, with
+        # before_j on top), its left top (-1)^(n + 1) times j's right top, and its
+        # constant den^n norm - c_j[0] over den^n norm.  Each rounds as j's did.
+        mirror = np.arange(len(keys) - half - 1, -1, -1)
+        flip = [p + (r == n) - (r > n) for p, (r, _, _) in enumerate(plan)]
+        sign = np.array([(-1.0) ** (min(r, n) + 1) for r, _, _ in plan])
+        table = np.array(rows)
+        right = table[np.ix_(mirror, flip)] * sign + 0.0  # -0.0 becomes 0.0, as 0 / d
+        total, (_, m, d) = (den ** n * norm).numerator, plan[0]
+        right[:, 0] = [(total - starts[j]) * m / d for j in mirror]
+        table = np.concatenate([table, right]).T.copy()
         knots = np.array(knots)
         splits = np.append(knots[:-1] + 0.5 * np.diff(knots), math.inf)
         return knots, np.array(residuals), splits, {

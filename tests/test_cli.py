@@ -394,6 +394,19 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out and "FAIL" in out
 
+    def test_disc_suite_checks_pmf_full(self, capsys, monkeypatch):
+        # values moved between points keep the sum 1: only the pointwise check sees it
+        real = DiscreteSum.pmf_full
+
+        def rotated(self):
+            values = list(real(self).values())
+            return dict(zip(real(self), values[1:] + values[:1]))
+
+        monkeypatch.setattr(DiscreteSum, "pmf_full", rotated)
+        code, out, _ = run(capsys, "verify", "--suite", "disc")
+        assert code == 1
+        assert "MISMATCH pmf(" in out and "suite disc: FAIL" in out
+
 
 COMMANDS = ["density", "cdf", "quantile", "pmf", "table", "coeffs", "verify", "sample"]
 # each command with the fewest options that parse

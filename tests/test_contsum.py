@@ -791,6 +791,47 @@ def _generic_shifted(seed, n):
                                      for _ in range(n)])
 
 
+def _assert_table_rounded_once(s):
+    """Every entry of the piece table is float() of its exact coefficient, bit
+    for bit, derived here from the moments of the measure about each knot
+    hi - k / den: right of it the CDF is sum over keys k_t >= k of
+    w_t (unit z + (k_t - k) / den)^n over its norm, and the density its
+    derivative in x."""
+    knots, _, _, tables = s._pieces
+    keys, weights = s._measure.full
+    n, den, u, norm = s.n, s._measure.den, s._unit, s._polys[s.n][1]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    moments = [0] * (n + 1)
+    for i, (k, w) in enumerate(zip(reversed(keys), reversed(weights))):
+        moments = [acc + w * k ** j for j, acc in enumerate(moments)]
+        about = [sum(math.comb(p, j) * (-k) ** (p - j) * moments[j] for j in range(p + 1))
+                 for p in range(n + 1)]  # sum over k_t >= k of w_t (k_t - k)^p
+        cdf = [math.comb(n, r) * u ** r * F(about[n - r], den ** (n - r)) / norm
+               for r in range(n + 1)]
+        left = u ** n * (about[0] - w) / norm  # the top coefficient left of the knot
+        columns, top = tables[n]
+        assert bits(column[i] for column in columns) == bits(cdf), i
+        assert bits([top[i]]) == bits([left]), i
+        columns, top = tables[n - 1]
+        assert bits(column[i] for column in columns) == bits(r * c / u
+                                                             for r, c in enumerate(cdf) if r), i
+        assert bits([top[i]]) == bits([n * left / u]), i
+    assert i + 1 == len(knots)
+
+
+# n = 1..7 components with identical, 1/8-grid, generic double or mixed widths
+_piece_models = st.one_of(
+    st.builds(lambda pair, n: [pair] * n,
+              st.tuples(helpers.centers, st.one_of(helpers.widths, helpers.generic_widths)),
+              st.integers(min_value=1, max_value=7)),
+    helpers.component_lists(max_n=7),
+    st.lists(st.tuples(helpers.generic_centers, helpers.generic_widths), min_size=1, max_size=7),
+    helpers.mixed_component_lists(max_n=7)).map(ContinuousSum.from_pairs)
+
+
 class TestBatch:
     def test_matches_scalar_float(self):
         xs = np.linspace(-3.5, 3.5, 101)
@@ -820,29 +861,29 @@ class TestBatch:
         _eighths(9, 9),
         _generic_shifted(9, 9)], ids=["12-identical", "eighths-9", "generic-9"])
     def test_table_rounded_once(self, s):
-        # every entry is float() of its exact coefficient, derived here from
-        # the moments of the measure about each knot hi - k / den: right of it
-        # the CDF is sum over keys k_t >= k of w_t (unit z + (k_t - k) / den)^n
-        # over its norm, and the density its derivative in x
-        knots, _, _, tables = s._pieces
-        keys, weights = s._measure.full
-        n, den, u, norm = s.n, s._measure.den, s._unit, s._polys[s.n][1]
-        moments = [0] * (n + 1)
-        for i, (k, w) in enumerate(zip(reversed(keys), reversed(weights))):
-            moments = [acc + w * k ** j for j, acc in enumerate(moments)]
-            about = [sum(math.comb(p, j) * (-k) ** (p - j) * moments[j] for j in range(p + 1))
-                     for p in range(n + 1)]  # sum over k_t >= k of w_t (k_t - k)^p
-            cdf = [math.comb(n, r) * u ** r * F(about[n - r], den ** (n - r)) / norm
-                   for r in range(n + 1)]
-            left = u ** n * (about[0] - w) / norm  # the top coefficient left of the knot
-            columns, top = tables[n]
-            assert [column[i] for column in columns] == [float(c) for c in cdf]
-            assert top[i] == float(left)
-            columns, top = tables[n - 1]
-            assert [column[i] for column in columns] == [float(r * c / u)
-                                                         for r, c in enumerate(cdf) if r]
-            assert top[i] == float(n * left / u)
-        assert i + 1 == len(knots)
+        _assert_table_rounded_once(s)
+
+    @given(_piece_models)
+    @settings(max_examples=60, deadline=None)
+    def test_table_rounded_once_drawn(self, s):
+        # both halves: the right one is mirrored, the middle knot of an odd
+        # count is its own mirror, and n = 1 has jumps at both ends
+        _assert_table_rounded_once(s)
+
+    @pytest.mark.parametrize("s", [UNIT_BOX, TRIANGLE, TWO_MIXED, _eighths(9, 9),
+                                   _generic_shifted(9, 9)])
+    def test_half_the_knots(self, s, monkeypatch):
+        # the build walks the knots from lo to the middle; the rest are mirrored
+        real, taken = contsum._knot_rows, []
+
+        def counted(*args):
+            for row in real(*args):
+                taken.append(row)
+                yield row
+
+        monkeypatch.setattr(contsum, "_knot_rows", counted)
+        knots = ContinuousSum(s.components)._pieces[0]  # a copy builds anew
+        assert len(taken) == (len(knots) + 1) // 2
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_many_identical(self, n):

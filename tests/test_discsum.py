@@ -91,6 +91,7 @@ class TestPmfValues:
         d = DiscreteSum.from_half_ranges([1, 1])
         assert d.pmf_full() == {-2: F(1, 9), -1: F(2, 9), 0: F(1, 3),
                                 1: F(2, 9), 2: F(1, 9)}
+        assert list(d.pmf_full()) == [-2, -1, 0, 1, 2]  # keys ascending
         assert d.pmf_tau(2) == F(1, 9)
 
     def test_mixed_pair(self):
