@@ -200,10 +200,8 @@ class DiscreteSum(_Value):
         return (self._pmf(point) + self._pmf(-point)) / 2
 
     def pmf_full(self) -> dict[int, Fraction]:
-        """The whole PMF on [-span, span], keys ascending; values sum to exactly 1.
-        Only p <= 0 is summed: every component is symmetric, so P(S = -p) = P(S = p)."""
-        left = [self._pmf(p) for p in range(-self.span, 1)]
-        return dict(zip(range(-self.span, self.span + 1), left + left[-2::-1]))
+        """The whole PMF on [-span, span]; values sum to exactly 1."""
+        return {p: self.pmf_tau(p) for p in range(-self.span, self.span + 1)}
 
 
 def pmf_n2_closed(m1: int, m2: int, p: int) -> Fraction:
