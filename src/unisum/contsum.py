@@ -118,6 +118,13 @@ def _as_fraction(value, what: str) -> Fraction:
     return f
 
 
+def _whole(value, what: str, least: int) -> int:
+    """value if it is an int >= least and not a bool; ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -869,10 +876,11 @@ def density_feller(n: int, a, x, mode: EvalMode = EXACT):
                  / ((n-1)! (2a)^n),
 
     which is what density_tau evaluates on the n-component sum: its vertex
-    measure merges the equal legs 2a into these n + 1 entries.  Returns a
-    Fraction in exact mode, the exact value rounded to a float otherwise.
+    measure merges the equal legs 2a into these n + 1 entries.  n >= 1 must
+    be an int, not a bool.  Returns a Fraction in exact mode, the exact value
+    rounded to a float otherwise.
     """
-    return ContinuousSum.from_pairs([(0, a)] * n).density_tau(x, mode).value
+    return ContinuousSum.from_pairs([(0, a)] * _whole(n, "n", 1)).density_tau(x, mode).value
 
 
 def density_olds(a: list, x, mode: EvalMode = EXACT):

@@ -17,9 +17,16 @@ p and at -p.
 The sum over k is one polynomial of the model,
 g(y) = sum_k (-1)^k B(n, k) y^(n-2k-1) / (n-2k-1)!, so a PMF point is one
 tau sum of g_+ over the model's VertexMeasure, divided once by its norm.
-B(n, k) comes from Miller's recurrence for a power of a power series
-(csc_coefficient); the paper's explicit triple sum is kept as the reference
-of the tests.
+g is the central factorial polynomial
+
+    g(y) = prod_{i=1}^{n-1} (y + n - 2i) / (n - 1)!
+
+(Riordan, Combinatorial Identities, 1968, ch. 6; Butzer, Schmidt, Stark and
+Vogt, Numer. Funct. Anal. Optim. 10, 1989), so DiscreteSum._laurent expands
+it from its roots 0, +-2, +-4, ... (n even) or +-1, +-3, ... (n odd) in
+integers and needs no B(n, k).  csc_coefficient keeps the paper's B(n, k)
+by Miller's recurrence.  The tests check _laurent against the power-series
+oracle, and csc_coefficient against it and the paper's explicit triple sum.
 
 Everything here is computed in exact rational arithmetic: the inputs are
 integers, the Laurent coefficients are rationals, and the alternating
@@ -33,7 +40,7 @@ import threading
 from fractions import Fraction
 from functools import cached_property
 
-from .contsum import VertexMeasure, _Value
+from .contsum import VertexMeasure, _Value, _whole
 
 __all__ = [
     "DiscreteComponent",
@@ -75,17 +82,13 @@ def _csc_row(n: int, length: int) -> list:
 def csc_coefficient(n: int, k: int) -> Fraction:
     """Coefficient B(n, k) of x^(2k-n) in the Laurent expansion of (1/sin x)^n.
 
-    B(n, 0) = 1, B(1, 1) = 1/6, ...  The PMF's Laurent sum over k is one
-    polynomial with these coefficients (DiscreteSum._laurent).  Read from the
-    row of n that Miller's recurrence grows (_csc_row), cached and shared
-    between threads; the paper's explicit triple sum, equal to it, is the
-    reference of the tests.  n >= 1 and k >= 0 must be ints, not bools;
-    anything else is a ValueError.
+    B(n, 0) = 1, B(1, 1) = 1/6, ...  Read from the row of n that Miller's
+    recurrence grows (_csc_row), cached and shared between threads.  The PMF
+    does not read it: its Laurent sum over k is the central factorial
+    polynomial of the module docstring.  n >= 1 and k >= 0 must be ints, not
+    bools; anything else is a ValueError.
     """
-    for name, v, least in (("n", n, 1), ("k", k, 0)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-    return _csc_row(n, k + 1)[k]
+    return _csc_row(_whole(n, "n", 1), _whole(k, "k", 0) + 1)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +112,7 @@ class DiscreteComponent(_Value):
     __slots__ = __match_args__ = ("m",)
 
     def __init__(self, m: int):
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError(f"m must be an integer, got {m!r}")
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _whole(m, "m", 0))
 
     @property
     def count(self) -> int:
@@ -162,25 +161,29 @@ class DiscreteSum(_Value):
 
     @cached_property
     def _laurent(self) -> tuple:
-        """The PMF's g(y) = sum_k (-1)^k B(n, k) y^e / e!, e = n - 2k - 1, over its
-        norm, as VertexMeasure.sum takes it: integer coefficients, times the lcm L
-        of their denominators, and the divisor L 2^(n - 1) / M.  The row of
-        B(n, k) is made only once the capacity rule has admitted the model."""
+        """The PMF's g(y) = prod_{i=1}^{n-1} (y + n - 2i) / (n - 1)! over its norm, as
+        VertexMeasure.sum takes it: the integer coefficients of
+        y^[n even] prod_{r = n-2, n-4, ... > 0} (y^2 - r^2) over their gcd G, from
+        y^(n-1) down, and the divisor (n - 1)! 2^(n - 1) / (G M).  The O(n^2)
+        expansion runs only once the capacity rule has admitted the model."""
         n = self.n
-        self._measure._plans  # the capacity check: CapacityError before the row is made
-        row = _csc_row(n, (n - 1) // 2 + 1)
-        coefs = [(n - 2 * k - 1, (-1) ** k * row[k] / math.factorial(n - 2 * k - 1))
-                 for k in range((n - 1) // 2 + 1)]
-        scale = math.lcm(*(c.denominator for _, c in coefs))
-        terms = tuple((e, c.numerator * (scale // c.denominator)) for e, c in coefs)
-        return terms, scale * 2 ** (n - 1) / self.mass_norm
+        self._measure._plans  # the capacity check: CapacityError before the expansion
+        coefs = [1]  # of y^0, y^2, ... in the product over r
+        for r in range(n - 2, 0, -2):
+            coefs = [a - r * r * b for a, b in zip([0] + coefs, coefs + [0])]
+        g = math.gcd(*coefs)
+        terms = tuple((n - 1 - 2 * k, c // g) for k, c in enumerate(reversed(coefs)))
+        return terms, Fraction(math.factorial(n - 1) * 2 ** (n - 1), g) / self.mass_norm
 
     def _pmf(self, point: int) -> Fraction:
-        """One tau sum of the Laurent polynomial, at start 2 point - sum_j (2 m_j + 1).
+        """0 off [-span, span]; else one tau sum of the PMF polynomial, at start
+        2 point - sum_j (2 m_j + 1).
 
         The vertex arguments are integers of the parity of n, so no zero
         argument meets the constant term (that needs odd n, whose arguments
         are odd)."""
+        if abs(point) > self.span:
+            return Fraction(0)
         return self._measure.sum(2 * (point - self.span) - self.n, 1, self._laurent)
 
     # -- public operations ---------------------------------------------------
@@ -211,11 +214,9 @@ def pmf_n2_closed(m1: int, m2: int, p: int) -> Fraction:
                         - |p - m1 + m2| + |p - m1 - m2 - 1|).
 
     Equals DiscreteSum.from_half_ranges([m1, m2]).pmf_tau(p) for every
-    integer p.
+    integer p, which it reads as pmf_tau does.
     """
-    for name, m in (("m1", m1), ("m2", m2)):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {m!r}")
+    m1, m2, p = _whole(m1, "m1", 0), _whole(m2, "m2", 0), _lattice_point(p)
     M = Fraction(1, (2 * m1 + 1) * (2 * m2 + 1))
     return M * Fraction(
         abs(p + m1 + m2 + 1) - abs(p + m1 - m2) - abs(p - m1 + m2)

@@ -2,7 +2,7 @@
 
 Nothing in this module calls the formula code it is used to check: the
 discrete oracle counts lattice points, the continuous oracle convolves
-sampled boxes numerically, the series oracle manipulates truncated power
+sampled boxes numerically, the series oracle multiplies truncated power
 series, and the sampler just draws and adds uniforms.  The test suite (and
 the CLI `verify` command) compares these against the vertex-sum formulas.
 """
@@ -14,12 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contsum import ContinuousSum, _rounded, _Value
+from .contsum import ContinuousSum, _rounded
 from .discsum import DiscreteSum
 from .errors import CapacityError
 
 __all__ = [
-    "EvenSeries",
     "csc_series_oracle",
     "discrete_conv_oracle",
     "continuous_conv_oracle",
@@ -37,70 +36,30 @@ _CONV_WORK_MAX = 2 ** 32
 
 
 # ---------------------------------------------------------------------------
-# Truncated even power series over the rationals
+# Truncated power series
 # ---------------------------------------------------------------------------
-
-class EvenSeries(_Value):
-    """A truncated even power series sum_k c_k x^(2k), exact coefficients.
-
-    Arithmetic is exact up to the truncation order; coefficients beyond it
-    are dropped (truncation, never rounding).
-    """
-
-    __match_args__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple):
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in coefficients))
-        if not self.coefficients:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def multiply(self, other: "EvenSeries") -> "EvenSeries":
-        K = min(self.truncation_order, other.truncation_order)
-        a, b = self.coefficients, other.coefficients
-        out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(K + 1)]
-        return EvenSeries(tuple(out))
-
-    def reciprocal(self) -> "EvenSeries":
-        """Solve self * r = 1 coefficient by coefficient (constant term != 0)."""
-        a = self.coefficients
-        if a[0] == 0:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        K = self.truncation_order
-        r: list[Fraction] = [Fraction(1) / a[0]]
-        for k in range(1, K + 1):
-            acc = sum(a[i] * r[k - i] for i in range(1, k + 1))
-            r.append(-acc / a[0])
-        return EvenSeries(tuple(r))
-
-    def power(self, n: int) -> "EvenSeries":
-        if n < 0:
-            raise ValueError("power expects n >= 0")
-        out = EvenSeries((Fraction(1),) + (Fraction(0),) * self.truncation_order)
-        for _ in range(n):
-            out = out.multiply(self)
-        return out
-
 
 def csc_series_oracle(n: int, K: int) -> list[Fraction]:
     """First K+1 Laurent coefficients of (1/sin x)^n, by series arithmetic.
 
     Expands s(x) = sin(x)/x = sum_r (-1)^r x^(2r) / (2r+1)!, inverts it by
-    the standard recurrence and raises to the n-th power by repeated
-    multiplication.  Since (1/sin x)^n = x^(-n) (x/sin x)^n, the even-series
-    coefficients of s^(-n) are exactly the wanted Laurent coefficients.
+    the standard recurrence and raises the inverse to the n-th power by n
+    truncated multiplications, all as lists of the coefficients of x^(2r).
+    Since (1/sin x)^n = x^(-n) (x/sin x)^n, the coefficients of s^(-n) are
+    exactly the wanted Laurent coefficients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if K < 0:
         raise ValueError("K must be >= 0")
-    sinc = EvenSeries(tuple(
-        Fraction((-1) ** r, math.factorial(2 * r + 1)) for r in range(K + 1)
-    ))
-    return list(sinc.reciprocal().power(n).coefficients)
+    sinc = [Fraction((-1) ** r, math.factorial(2 * r + 1)) for r in range(K + 1)]
+    inverse = [Fraction(1)]  # sinc[0] = 1
+    for k in range(1, K + 1):
+        inverse.append(-sum(sinc[i] * inverse[k - i] for i in range(1, k + 1)))
+    power = [Fraction(1)] + [Fraction(0)] * K
+    for _ in range(n):
+        power = [sum(power[i] * inverse[k - i] for i in range(k + 1)) for k in range(K + 1)]
+    return power
 
 
 # ---------------------------------------------------------------------------

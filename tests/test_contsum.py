@@ -250,6 +250,11 @@ class TestSpecialCases:
         with pytest.raises(ValueError):
             density_olds([1, -1], 0)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, F(2), "2", -1])
+    def test_feller_rejects_illegal_counts(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            density_feller(n, 1, 0)
+
     def test_measure_budget(self):
         helpers.assert_refused_unbuilt(lambda: density_olds(helpers.POW2_30, 0), 33 * 2 ** 15)
         helpers.assert_identical_components_work()

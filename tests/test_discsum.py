@@ -1,5 +1,6 @@
 """Unit and property tests for the discrete PMF formulas and coefficients."""
 
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from unisum import (
     DiscreteComponent,
     DiscreteSum,
     csc_coefficient,
+    discsum,
     pmf_n2_closed,
 )
 from unisum.oracles import csc_series_oracle, discrete_conv_oracle
@@ -106,6 +108,23 @@ class TestPmfValues:
         assert d.span == 6
         assert d.pmf_tau(7) == 0
         assert d.pmf_sign(-7) == 0
+        # exactly 0 without a vertex sum, as cdf gives 1 beyond hi: a model
+        # whose sums the capacity rule refuses still answers off its support
+        pow2 = DiscreteSum.from_half_ranges(helpers.POW2_31)
+        for p in (pow2.span + 1, -pow2.span - 1, 2 ** 40):
+            assert pow2.pmf_tau(p) == pow2.pmf_sign(p) == 0
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_beyond_lattice_oracle(self, n):
+        # n x {-1, 0, 1} against the trinomial counts, one running window sum
+        # per component: at the centre, next to it and at the upper edge
+        counts = [1]
+        for _ in range(n):
+            window = [0, 0] + counts + [0, 0]
+            counts = [sum(window[i:i + 3]) for i in range(len(counts) + 2)]
+        d = DiscreteSum.from_half_ranges([1] * n)
+        for p in (0, 1, d.span - 1, d.span):
+            assert d.pmf_tau(p) == F(counts[p + n], 3 ** n), p
 
     def test_three_identical(self):
         d = DiscreteSum.from_half_ranges([1, 1, 1])
@@ -203,6 +222,14 @@ class TestClosedFormPair:
             pmf_n2_closed(-1, 1, 0)
         with pytest.raises(ValueError):
             pmf_n2_closed(1, True, 0)
+        assert pmf_n2_closed(1, 2, 1.0) == pmf_n2_closed(1, 2, F(2, 2)) == F(1, 5)
+
+    @pytest.mark.parametrize("m1, m2, p", [(1, 2, F(1, 2)), (1, 2, 2.5), (1, 2, True),
+                                           (1, 2, "x"), (1, 2, float("nan")),
+                                           (1.0, 2, 0), (1, F(2), 0)])
+    def test_rejects_illegal_arguments(self, m1, m2, p):
+        with pytest.raises(ValueError, match="must be an integer"):
+            pmf_n2_closed(m1, m2, p)
 
 
 class TestModel:
@@ -233,3 +260,26 @@ class TestModel:
         # exponent n - 1) on the direct loop
         identical = DiscreteSum.from_half_ranges([1] * 1024)
         helpers.assert_refused_unbuilt(lambda: identical.pmf_tau(0), 1025 * 1024)
+        # refused before the O(n^2) expansion of the PMF polynomial, too
+        identical = DiscreteSum.from_half_ranges([1] * 4096)
+        helpers.assert_refused_unbuilt(lambda: identical.pmf_tau(0), 4097 * 4096)
+
+
+class TestLaurent:
+    @pytest.mark.parametrize("n", [*range(1, 41), 120])
+    def test_matches_the_papers_laurent_sum(self, n):
+        # the central factorial product over its norm, term by term against
+        # (-1)^k B(n, k) / (n - 2k - 1)! * M / 2^(n - 1) from the series oracle
+        d = DiscreteSum.from_half_ranges([j % 3 for j in range(n)])
+        terms, divisor = d._laurent
+        oracle = csc_series_oracle(n, (n - 1) // 2)
+        assert [e for e, _ in terms] == [n - 2 * k - 1 for k in range(len(oracle))]
+        for k, (e, coef) in enumerate(terms):
+            want = (-1) ** k * oracle[k] / math.factorial(e) * d.mass_norm / 2 ** (n - 1)
+            assert coef / divisor == want, (n, k)
+
+    def test_pmf_reads_no_reciprocal_sine_row(self):
+        before = set(discsum._ROWS)
+        d = DiscreteSum.from_half_ranges([1] * 500)
+        assert d.pmf_tau(1 - d.span) == F(500, 3 ** 500)
+        assert set(discsum._ROWS) == before and 500 not in before

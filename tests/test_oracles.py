@@ -5,14 +5,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import helpers
 from unisum import CapacityError, ContinuousSum, DiscreteSum
 from unisum.oracles import (
     DISCRETE_ORACLE_CAP,
-    EvenSeries,
     continuous_conv_oracle,
     csc_series_oracle,
     discrete_conv_oracle,
@@ -22,37 +19,6 @@ from unisum.oracles import (
 )
 
 HALF = F(1, 2)
-
-
-class TestEvenSeries:
-    def test_multiply_truncates(self):
-        a = EvenSeries((1, 2, 3))
-        b = EvenSeries((1, -1, 0))
-        assert a.multiply(b).coefficients == (1, 1, 1)
-
-    def test_reciprocal_inverts(self):
-        a = EvenSeries((F(2), F(1, 3), F(-4), F(7, 5)))
-        prod = a.multiply(a.reciprocal())
-        assert prod.coefficients == (1, 0, 0, 0)
-
-    def test_reciprocal_needs_unit(self):
-        with pytest.raises(ZeroDivisionError):
-            EvenSeries((0, 1)).reciprocal()
-
-    def test_power(self):
-        a = EvenSeries((1, 1, 0))
-        assert a.power(2).coefficients == (1, 2, 1)
-        assert a.power(0).coefficients == (1, 0, 0)
-
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
-                    min_size=1, max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_reciprocal_roundtrip(self, coeffs):
-        if coeffs[0] == 0:
-            coeffs[0] = F(1)
-        s = EvenSeries(tuple(coeffs))
-        identity = (F(1),) + (F(0),) * s.truncation_order
-        assert s.multiply(s.reciprocal()).coefficients == identity
 
 
 class TestCscSeriesOracle:

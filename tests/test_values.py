@@ -17,7 +17,6 @@ from unisum import (
     EvalMode,
     EvalResult,
 )
-from unisum.oracles import EvenSeries
 
 
 def _evaluated(model, call):
@@ -39,7 +38,6 @@ VALUES = {
     "exact-result": lambda: EvalResult(F(1, 2)),
     "float-result": lambda: EvalResult(0.25, 1.0),
     "discrete-component": lambda: DiscreteComponent(3),
-    "series": lambda: EvenSeries((1, F(1, 6))),
     "continuous": _continuous,
     "continuous-after-cdf": lambda: _evaluated(_continuous(), lambda s: s.cdf(0)),
     "continuous-after-breakpoints": lambda: _evaluated(_continuous(), ContinuousSum.breakpoints),
@@ -97,7 +95,6 @@ def test_keyword_construction():
     assert DiscreteComponent(m=2) == DiscreteComponent(2)
     assert ContinuousSum(components=[(0, 1)]) == ContinuousSum.from_pairs([(0, 1)])
     assert DiscreteSum(components=[2]) == DiscreteSum.from_half_ranges([2])
-    assert EvenSeries(coefficients=[1]) == EvenSeries((F(1),))
 
 
 def test_never_equal_to_a_tuple_of_fields():
