@@ -11,13 +11,12 @@ with one component per line (`c a`, or a single `m`), validated like the
 flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
-full pmf support, may hold at most 10**6 points, and sample and verify may
-draw at most 10**6 values (--count); a verify --step whose convolutions
-would take more than 2**32 cells and multiply-adds is refused, and a model
-over the capacity rule stated above MEASURE_MAX in errors.py fails at its
-first point.  All four exit with 1.  --n-max must be at least 1, --k-max
-and --seed at least 0, and --count at least 1; anything else is a usage
-error (exit 2).
+full pmf support and the exact check points of verify --step, may hold at
+most 10**6 points, and sample and verify may draw at most 10**6 values
+(--count); a model over the capacity rule stated above MEASURE_MAX in
+errors.py fails at its first point.  All three exit with 1.  --n-max must
+be at least 1, --k-max and --seed at least 0, and --count at least 1;
+anything else is a usage error (exit 2).
 
 Only sample and verify import numpy, through the oracles module, when they
 run; the other subcommands are pure integer and Fraction code.  Importing
@@ -430,31 +429,34 @@ def _verify_cont(spec: JobSpec, lines: list[str]) -> bool:
 
     from . import oracles
 
-    panel = [
+    panel = [  # no support is wider than the first: a refused --step evaluates nothing
         ContinuousSum.from_pairs([(0, 1), (0, 2)]),
         ContinuousSum.from_pairs([(Fraction(1, 2), Fraction(1, 2))] * 3),
         ContinuousSum.from_pairs([(0, 1), (-1, Fraction(1, 2)), (2, Fraction(3, 2))]),
     ]
-    ok = True
-    h = float(spec.grid_step)
+    before = len(lines)  # the suite passes if it adds no MISMATCH line
     for csum in panel:
-        grid, vals = oracles.continuous_conv_oracle(csum, h)
-        closed = csum.density_batch(grid)
-        keep = np.ones(len(grid), dtype=bool)
-        for b in csum.breakpoints():
-            keep &= np.abs(grid - float(b)) > 1.01 * h
-        err = float(np.max(np.abs(closed[keep] - vals[keep])))
-        if err > 1e-3:
-            ok = False
-            lines.append(f"MISMATCH grid oracle: max err {err:.2e} for {csum}")
+        # the doubles nearest the grid points, so the batch paths see the same points
+        xs = [Fraction(float(x)) for x in _points(spec, *csum.support(), spec.grid_step)]
+        for closed, batch, oracle, e in zip(
+                (csum.density_tau, csum.cdf), (csum.density_batch, csum.cdf_batch),
+                oracles.continuous_conv_oracle(csum), (csum.n - 1, csum.n)):
+            exact = [oracle(x) for x in xs]
+            wrong = next((x for x, v in zip(xs, exact) if closed(x).value != v), None)
+            if wrong is not None:
+                lines.append(f"MISMATCH {closed.__name__}({wrong}) for {csum}")
+            err = float(np.max(np.abs(batch(np.array(xs, float)) - np.array(exact, float))))
+            bound = csum._batch_bound(e)
+            if not err <= bound:
+                lines.append(f"MISMATCH {batch.__name__}: err {err:.2e} > {bound:.2e} for {csum}")
         draws = oracles.sample_sum(csum, spec.count, spec.seed)
         d = oracles.ks_statistic(draws, csum.cdf_batch)
         crit = oracles.ks_critical_1pct(spec.count)
         if d >= crit:
-            ok = False
             lines.append(f"MISMATCH KS: D={d:.4g} >= {crit:.4g} for {csum}")
+    ok = len(lines) == before
     lines.append(f"suite cont: {'PASS' if ok else 'FAIL'} "
-                 f"({len(panel)} models, grid step {h:g}, {spec.count} samples)")
+                 f"({len(panel)} models, grid step {spec.grid_step}, {spec.count} samples)")
     return ok
 
 
@@ -536,7 +538,7 @@ _COMMANDS = {
         ("--count", {"type": _integer_from(1),
                      "help": f"Monte Carlo sample size, at most {_GRID_MAX}"}), _SEED,
         ("--step", {"dest": "grid_step", "type": _positive_rational, "metavar": "STEP",
-                    "help": "grid step for the convolution oracle"}),
+                    "help": "spacing of the exact check points"}),
     ), run_verify, {"count": 20000}),
     "sample": ("draw reproducible samples of the sum", "continuous", (
         ("--count", {"type": _integer_from(1), "help": f"number of draws, at most {_GRID_MAX}"}),

@@ -743,8 +743,7 @@ class ContinuousSum(_Value):
     # the offset z = (x - knot) / _unit, which carries the knot's rounding
     # residual and so is exact up to its last rounding.  The error is then
     # at most 4 (e + 1) 2^-53 sum_r |c_r z^r| (c_r the coefficients used),
-    # so at most 4 (e + 1) 2^-53 times the table maximum: the largest such
-    # sum over the table with |z| half the piece's length.  Results below 0
+    # which _batch_bound(e) bounds over the whole table.  Results below 0
     # (density) or outside [0, 1] (CDF) are clamped, which only shrinks the
     # error.  The table holds 2 n + 3 coefficients per knot, under the
     # capacity rule (errors.MEASURE_MAX).
@@ -842,6 +841,23 @@ class ContinuousSum(_Value):
         for column in columns[-2::-1]:
             acc = acc * z + column[i]
         return acc.reshape(np.shape(xs))
+
+    def _batch_bound(self, exponent: int) -> float:
+        """The stated error bound of _batch at exponent e = n or n - 1: 4 (e + 1)
+        2^-53 times the table maximum, the largest sum_r |c_r| |z|^r over the
+        table with |z| half a piece.  Computed on each call, from _pieces."""
+        import numpy as np
+
+        knots, _, _, tables = self._pieces
+        columns, left = tables[exponent]
+        half = np.diff(knots) / 2 / float(self._unit)
+        sums = []
+        for top, h in ((columns[-1], np.append(half, 0.0)), (left, np.insert(half, 0, 0.0))):
+            acc = np.abs(top)
+            for column in columns[-2::-1]:
+                acc = acc * h + np.abs(column)
+            sums.append(acc.max())
+        return 4 * (exponent + 1) * 2.0 ** -53 * max(sums)
 
     def density_batch(self, xs) -> np.ndarray:
         """Density at an array of points in float64, within the bound of the piece table."""

@@ -2,15 +2,18 @@
 
 Nothing in this module calls the formula code it is used to check: the
 discrete oracle counts lattice points, the continuous oracle convolves
-sampled boxes numerically, the series oracle multiplies truncated power
-series, and the sampler just draws and adds uniforms.  The test suite (and
-the CLI `verify` command) compares these against the vertex-sum formulas.
+the boxes exactly as piecewise polynomials, the series oracle multiplies
+truncated power series, and the sampler just draws and adds uniforms.  The
+test suite (and the CLI `verify` command) compares these against the
+vertex-sum formulas.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -30,10 +33,6 @@ __all__ = [
 
 # Largest prod_j (2 m_j + 1) the lattice-count oracle will attempt.
 DISCRETE_ORACLE_CAP = 10 ** 7
-
-# Most cells plus convolution multiply-adds the grid oracle will attempt.
-_CONV_WORK_MAX = 2 ** 32
-
 
 # ---------------------------------------------------------------------------
 # Truncated power series
@@ -88,47 +87,56 @@ def discrete_conv_oracle(dsum: DiscreteSum) -> dict[int, Fraction]:
     return {p: Fraction(cnt, total_points) for p, cnt in sorted(counts.items())}
 
 
-def continuous_conv_oracle(csum: ContinuousSum, grid_step: float):
-    """Numerical density of the continuous sum on a uniform grid.
+def _horner(poly: list, x) -> Fraction:
+    """poly (coefficients low to high) at the rational x."""
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
 
-    Each component box is discretized onto cells of width grid_step anchored
-    at its lower edge; the sample for a cell is the box mass inside it over
-    the step (the trapezoid-style half weight appears when a cell straddles
-    a jump), attributed to the cell center.  The sampled components are then
-    convolved directly.  Box edges land on cell boundaries whenever the box
-    width is a multiple of the step, so aligned kinks of the result are
-    reproduced cleanly; accuracy is O(grid_step^2) away from the kinks and
-    first order within a cell of one, so comparisons should skip those
-    neighborhoods.
 
-    Returns (grid, values) as float arrays; grid point k sits at
-    sum_j lo_j + (k + n/2) * grid_step.  CapacityError, before any array is
-    made, if the cells and the multiply-adds of the direct convolutions
-    exceed _CONV_WORK_MAX (2**32).
+def _shifted(poly: list, s) -> list:
+    """Coefficients of poly(x - s), by Horner's rule on polynomials."""
+    out: list = []
+    for c in reversed(poly):
+        out = [u - s * v for u, v in zip([0, *out], [*out, 0])]
+        out[0] += c
+    return out
+
+
+def continuous_conv_oracle(csum: ContinuousSum):
+    """(density, cdf) of the continuous sum as exact functions of a rational x.
+
+    Convolves the boxes one at a time, from the point mass at 0: a box [l, h]
+    turns the CDF F so far into (G(x - l) - G(x - h)) / (h - l), G the
+    antiderivative of F that vanishes left of the support.  F is kept as its
+    sorted knots and a Fraction polynomial in x per gap: polys[i] on
+    [knots[i - 1], knots[i]), and polys[0] = 0.  The density is F'; at a knot
+    it is the mean of the two one-sided values (tau(0) = 1/2 at a jump).
     """
-    h = float(grid_step)
-    if not h > 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step!r}")
-    cells = [math.ceil(min(2.0 * float(c.half_width) / h, _CONV_WORK_MAX)) + 1
-             for c in csum.components]
-    work = sum(cells) + sum((sum(cells[:j]) - j + 1) * cells[j] for j in range(1, len(cells)))
-    if work > _CONV_WORK_MAX:
-        raise CapacityError(f"a convolution at grid step {h:g} takes {work} cells and "
-                            f"multiply-adds, above the limit of {_CONV_WORK_MAX}")
-    vals = None
-    start = 0.0
-    for comp, ncells in zip(csum.components, cells):
-        lo = float(comp.lo)
-        width = 2.0 * float(comp.half_width)
-        edges = lo + h * np.arange(ncells + 1)
-        left = np.maximum(edges[:-1], lo)
-        right = np.minimum(edges[1:], lo + width)
-        cover = np.clip(right - left, 0.0, None) / h
-        sample = cover / width
-        start += lo
-        vals = sample if vals is None else np.convolve(vals, sample) * h
-    grid = start + h * (np.arange(len(vals)) + csum.n / 2.0)
-    return grid, vals
+    knots, polys = [Fraction(0)], [[Fraction(0)], [Fraction(1)]]
+    for lo, hi in [(c.lo, c.hi) for c in csum.components]:
+        antiderivatives = [[Fraction(0)]]
+        for t, p in zip(knots, polys[1:]):
+            q = [Fraction(0)] + [c / (r + 1) for r, c in enumerate(p)]
+            q[0] = _horner(antiderivatives[-1], t) - _horner(q, t)  # continuous at t
+            antiderivatives.append(q)
+        merged = sorted({t + lo for t in knots} | {t + hi for t in knots})
+        polys = [[Fraction(0)]]
+        for t in merged:
+            a = _shifted(antiderivatives[bisect_right(knots, t - lo)], lo)
+            b = _shifted(antiderivatives[bisect_right(knots, t - hi)], hi)
+            polys.append([(u - v) / (hi - lo) for u, v in zip_longest(a, b, fillvalue=0)])
+        knots = merged
+    slopes = [[r * c for r, c in enumerate(p)][1:] for p in polys]
+
+    def density(x) -> Fraction:  # the pieces left and right of x differ only at a knot
+        return sum(_horner(slopes[side(knots, x)], x) for side in (bisect_left, bisect_right)) / 2
+
+    def cdf(x) -> Fraction:
+        return _horner(polys[bisect_right(knots, x)], x)
+
+    return density, cdf
 
 
 # ---------------------------------------------------------------------------

@@ -223,16 +223,21 @@ def test_criterion_10_grid_oracle_concordance():
                                   (F(1, 20), 2)]),
         ContinuousSum.from_pairs([(HALF, HALF), (0, 1), (-1, F(3, 4)), (2, F(5, 4))]),
     ]
-    h = 1.0 / 512.0
+    h = F(1, 512)
     worst = 0.0
     for s in panels:
-        grid, vals = continuous_conv_oracle(s, h)
-        closed = s.density_batch(grid)
-        keep = np.ones(len(grid), dtype=bool)
-        for b in s.breakpoints():
-            keep &= np.abs(grid - float(b)) > 1.01 * h
-        err = float(np.max(np.abs(closed[keep] - vals[keep])))
-        worst = max(worst, err)
-        assert err <= 1e-3, (s, err)
-    _finish(10, t0, 60, f"n in 2..4 panels at step {h:.4g}: max deviation "
-                        f"{worst:.1e} <= 1e-3 away from kinks")
+        density, cdf = continuous_conv_oracle(s)
+        lo, hi = s.support()
+        grid = [lo + k * h for k in range((hi - lo) // h + 1)]
+        for x in grid + s.breakpoints():
+            assert (s.density_tau(x).value, s.cdf(x).value) == (density(x), cdf(x)), (s, x)
+        xs = np.array(grid, dtype=float)
+        assert [F(x) for x in xs] == grid  # the batch paths see the grid itself
+        for batch, oracle, e in ((s.density_batch, density, s.n - 1), (s.cdf_batch, cdf, s.n)):
+            err = float(np.max(np.abs(batch(xs) - np.array([oracle(x) for x in grid], float))))
+            bound = s._batch_bound(e)
+            worst = max(worst, err / bound)
+            assert err <= bound, (s, batch.__name__, err, bound)
+    _finish(10, t0, 60, f"n in 2..4 panels at step {h}: density_tau and cdf equal the "
+                        f"box convolution at every grid point and kink; batch errors at "
+                        f"most {worst:.2f} of their bound")

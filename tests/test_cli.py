@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 from test_cli_golden import GOLDEN, MODEL, RANGE
-from unisum import ContinuousSum, DiscreteSum, cli, discsum
+from unisum import EXACT, ContinuousSum, DiscreteSum, EvalResult, cli, discsum
 from unisum.cli import (
     JobSpec,
     UsageError,
@@ -407,6 +407,26 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH pmf(" in out and "suite disc: FAIL" in out
 
+    @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "1000"])
+    def test_cont_suite_at_any_step(self, capsys, step):
+        # at step 1000 the one grid point of each model is its lo
+        code, out, _ = run(capsys, "verify", "--suite", "cont", "--count", "200",
+                           "--step", step)
+        assert code == 0
+        assert f"suite cont: PASS (3 models, grid step {step}, 200 samples)" in out
+
+    def test_cont_suite_checks_exact_cdf(self, capsys, monkeypatch):
+        real = ContinuousSum.cdf
+
+        def cdf(self, x, mode=EXACT):
+            r = real(self, x, mode)
+            return EvalResult(r.value + F(1, 2 ** 100)) if x == F(1, 2) else r
+
+        monkeypatch.setattr(ContinuousSum, "cdf", cdf)
+        code, out, _ = run(capsys, "verify", "--suite", "cont", "--count", "200")
+        assert code == 1
+        assert "MISMATCH cdf(1/2) for " in out and "suite cont: FAIL" in out
+
 
 COMMANDS = ["density", "cdf", "quantile", "pmf", "table", "coeffs", "verify", "sample"]
 # each command with the fewest options that parse
@@ -511,10 +531,11 @@ class TestCommandTable:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage error: " + message)
 
-    def test_refused_verify_step_exits_1(self, capsys):
+    def test_refused_verify_step_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(ContinuousSum, "density_tau", None)  # evaluating a point raises
         code, out, err = run(capsys, "verify", "--suite", "cont", "--step", "1/1000000000")
         assert code == 1 and out == ""
-        assert err.startswith("error: a convolution at grid step 1e-09 takes ")
+        assert err == "error: a grid of 6000000001 points exceeds the limit of 1000000\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

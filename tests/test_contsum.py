@@ -67,8 +67,8 @@ class TestDensity:
             assert s.density_tau(0).value == min(a1, a2) / (2 * a1 * a2)
 
     def test_triangular_peak(self):
-        # sum of two U[0,1]: peak value 1 at x = 1 (checked against the
-        # numerical convolution oracle in test_oracles)
+        # sum of two U[0,1]: peak value 1 at x = 1 (test_oracles checks
+        # density_tau against the exact box convolution oracle)
         assert TRIANGLE.density_tau(1).value == 1
         assert TRIANGLE.density_tau(HALF).value == HALF
 
@@ -757,28 +757,14 @@ class TestPointPath:
         assert results == [want] * 8
 
 
-def _table_maximum(s, exponent):
-    """The largest sum_r |c_r| |z|^r of the piece table, |z| half a piece."""
-    knots, _, _, tables = s._pieces
-    columns, left = tables[exponent]
-    half = np.diff(knots) / 2 / float(s._unit)
-    sums = []
-    for top, h in ((columns[-1], np.append(half, 0.0)), (left, np.insert(half, 0, 0.0))):
-        acc = np.abs(top)
-        for column in columns[-2::-1]:
-            acc = acc * h + np.abs(column)
-        sums.append(acc.max())
-    return max(sums)
-
-
 def _assert_within_bound(s, xs):
-    """density_batch and cdf_batch are within 4 (e + 1) 2^-53 times the table
-    maximum of the exact value at each point, once rounded."""
+    """density_batch and cdf_batch are within the stated bound (_batch_bound)
+    of the exact value at each point, once rounded."""
     for batch, scalar, e in ((s.density_batch, s.density_tau, s.n - 1),
                              (s.cdf_batch, s.cdf, s.n)):
         got = batch(xs)
         want = np.array([scalar(x, FLOAT).value for x in xs])
-        bound = 4 * (e + 1) * 2.0 ** -53 * _table_maximum(s, e) + 2.0 ** -53 * np.abs(want)
+        bound = s._batch_bound(e) + 2.0 ** -53 * np.abs(want)
         assert np.all(np.abs(got - want) <= bound)
 
 

@@ -1,10 +1,12 @@
 """Tests for the independent ground-truth generators themselves."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from unisum import CapacityError, ContinuousSum, DiscreteSum
@@ -70,43 +72,30 @@ class TestDiscreteConvOracle:
 
 class TestContinuousConvOracle:
     def test_triangular_center(self):
-        s = ContinuousSum.from_pairs([(0, 1), (0, 1)])
-        grid, vals = continuous_conv_oracle(s, 1e-3)
-        at0 = vals[np.argmin(np.abs(grid))]
-        assert at0 == pytest.approx(0.5, abs=1e-4)
+        density, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 2))
+        assert density(0) == HALF
 
     def test_box_reproduced(self):
-        s = ContinuousSum.from_pairs([(0, 1)])
-        grid, vals = continuous_conv_oracle(s, 1e-3)
-        interior = (grid > -0.99) & (grid < 0.99)
-        assert np.max(np.abs(vals[interior] - 0.5)) < 1e-9
-        # mass within one cell of the jumps accounts for the rest
-        assert np.sum(vals) * 1e-3 == pytest.approx(1.0, abs=1e-9)
+        density, cdf = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)]))
+        assert [density(x) for x in (F(-99, 100), 0, F(1, 3))] == [HALF] * 3
+        assert density(-1) == density(1) == F(1, 4)  # tau(0) = 1/2 at the jumps
+        assert [cdf(x) for x in (-5, -1, 0, 1, 5)] == [0, 0, HALF, 1, 1]
 
     def test_three_boxes_center(self):
-        s = ContinuousSum.from_pairs([(0, 1)] * 3)
-        grid, vals = continuous_conv_oracle(s, 1e-3)
-        at0 = vals[np.argmin(np.abs(grid))]
-        assert at0 == pytest.approx(0.375, abs=1e-4)
+        density, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 3))
+        assert density(0) == F(3, 8)
 
-    def test_grid_anchor_and_validation(self):
-        s = ContinuousSum.from_pairs([(5, HALF), (-1, HALF)])
-        grid, _ = continuous_conv_oracle(s, 0.01)
-        assert grid[0] == pytest.approx(3.01, abs=1e-12)  # lo + n h / 2
-        with pytest.raises(ValueError):
-            continuous_conv_oracle(s, 0.0)
-
-    def test_work_is_capped(self):
-        # at step 1/16384 the two boxes take 32,769 and 65,537 cells and about
-        # 2.1e9 cells and multiply-adds, within the cap; at 1e-9 they would take
-        # about 8e18, refused before any array is made
-        s = ContinuousSum.from_pairs([(0, 1), (0, 2)])
-        with pytest.raises(CapacityError, match="above the limit of 4294967296"):
-            continuous_conv_oracle(s, 1e-9)
-        with pytest.raises(CapacityError):
-            continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)]), 1e-12)
-        with pytest.raises(CapacityError):
-            continuous_conv_oracle(ContinuousSum.from_pairs([(0, 10 ** 300)] * 2), 1.0)
+    @given(helpers.component_lists(5), helpers.points)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_brute_force(self, pairs, x):
+        # at x and at lo plus every subset sum of the legs 2 a: every knot, and
+        # the jumps of n = 1
+        density, cdf = continuous_conv_oracle(ContinuousSum.from_pairs(pairs))
+        lo = sum(c - a for c, a in pairs)
+        subsets = itertools.product(*[(0, 2 * a) for _, a in pairs])
+        for y in [x, *(lo + sum(legs) for legs in subsets)]:
+            assert density(y) == helpers.brute_continuous(pairs, y, "density_tau")
+            assert cdf(y) == helpers.brute_continuous(pairs, y, "cdf")
 
 
 class TestSampler:
