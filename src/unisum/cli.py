@@ -11,12 +11,11 @@ with one component per line (`c a`, or a single `m`), validated like the
 flags.  Exact values print as `num/den` next to a decimal rendering; CDF
 tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
-full pmf support and the exact check points of verify --step, may hold at
-most 10**6 points, and sample and verify may draw at most 10**6 values
-(--count); a model over the capacity rule stated above MEASURE_MAX in
-errors.py fails at its first point.  All three exit with 1.  --n-max must
-be at least 1, --k-max and --seed at least 0, and --count at least 1;
-anything else is a usage error (exit 2).
+full pmf support, may hold at most 10**6 points, and sample and verify may
+draw at most 10**6 values (--count); a model over the capacity rule stated
+above MEASURE_MAX in errors.py fails at its first point.  All three exit
+with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
+--count at least 1; anything else is a usage error (exit 2).
 
 Only sample and verify import numpy, through the oracles module, when they
 run; the other subcommands are pure integer and Fraction code.  Importing
@@ -80,7 +79,7 @@ _JOB_DEFAULTS = {
     "continuous": None, "discrete": None, "mode": EXACT,  # the models and an EvalMode
     "at": None, "q": None, "lo": None, "hi": None, "step": None,  # Fractions
     "seed": 0, "count": 10, "csv": False, "out": None, "dump_config": None,
-    "suite": "all", "n_max": 10, "k_max": 6, "grid_step": Fraction(1, 256),
+    "suite": "all", "n_max": 10, "k_max": 6,
 }
 
 
@@ -429,18 +428,21 @@ def _verify_cont(spec: JobSpec, lines: list[str]) -> bool:
 
     from . import oracles
 
-    panel = [  # no support is wider than the first: a refused --step evaluates nothing
+    panel = [  # dyadic, so every check point is a double that the batch paths see exactly
         ContinuousSum.from_pairs([(0, 1), (0, 2)]),
         ContinuousSum.from_pairs([(Fraction(1, 2), Fraction(1, 2))] * 3),
         ContinuousSum.from_pairs([(0, 1), (-1, Fraction(1, 2)), (2, Fraction(3, 2))]),
     ]
-    before = len(lines)  # the suite passes if it adds no MISMATCH line
+    before, checked = len(lines), 0  # the suite passes if it adds no MISMATCH line
     for csum in panel:
-        # the doubles nearest the grid points, so the batch paths see the same points
-        xs = [Fraction(float(x)) for x in _points(spec, *csum.support(), spec.grid_step)]
+        *exact_forms, knots = oracles.continuous_conv_oracle(csum)
+        if not set(csum.breakpoints()) <= set(knots):
+            lines.append(f"MISMATCH breakpoints() outside the oracle's knots for {csum}")
+        xs = oracles.check_points(knots, csum.n)
+        checked += len(xs)
         for closed, batch, oracle, e in zip(
                 (csum.density_tau, csum.cdf), (csum.density_batch, csum.cdf_batch),
-                oracles.continuous_conv_oracle(csum), (csum.n - 1, csum.n)):
+                exact_forms, (csum.n - 1, csum.n)):
             exact = [oracle(x) for x in xs]
             wrong = next((x for x, v in zip(xs, exact) if closed(x).value != v), None)
             if wrong is not None:
@@ -452,11 +454,11 @@ def _verify_cont(spec: JobSpec, lines: list[str]) -> bool:
         draws = oracles.sample_sum(csum, spec.count, spec.seed)
         d = oracles.ks_statistic(draws, csum.cdf_batch)
         crit = oracles.ks_critical_1pct(spec.count)
-        if d >= crit:
+        if not d < crit:
             lines.append(f"MISMATCH KS: D={d:.4g} >= {crit:.4g} for {csum}")
     ok = len(lines) == before
     lines.append(f"suite cont: {'PASS' if ok else 'FAIL'} "
-                 f"({len(panel)} models, grid step {spec.grid_step}, {spec.count} samples)")
+                 f"({len(panel)} models, {checked} check points, {spec.count} samples)")
     return ok
 
 
@@ -537,8 +539,6 @@ _COMMANDS = {
         ("--suite", {"choices": ("all", *_SUITES)}), *_COEFFS,
         ("--count", {"type": _integer_from(1),
                      "help": f"Monte Carlo sample size, at most {_GRID_MAX}"}), _SEED,
-        ("--step", {"dest": "grid_step", "type": _positive_rational, "metavar": "STEP",
-                    "help": "spacing of the exact check points"}),
     ), run_verify, {"count": 20000}),
     "sample": ("draw reproducible samples of the sum", "continuous", (
         ("--count", {"type": _integer_from(1), "help": f"number of draws, at most {_GRID_MAX}"}),

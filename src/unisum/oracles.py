@@ -25,6 +25,7 @@ __all__ = [
     "csc_series_oracle",
     "discrete_conv_oracle",
     "continuous_conv_oracle",
+    "check_points",
     "sample_sum",
     "ks_statistic",
     "ks_critical_1pct",
@@ -105,14 +106,17 @@ def _shifted(poly: list, s) -> list:
 
 
 def continuous_conv_oracle(csum: ContinuousSum):
-    """(density, cdf) of the continuous sum as exact functions of a rational x.
+    """(density, cdf, knots): exact functions of a rational x, and the knots.
 
     Convolves the boxes one at a time, from the point mass at 0: a box [l, h]
     turns the CDF F so far into (G(x - l) - G(x - h)) / (h - l), G the
     antiderivative of F that vanishes left of the support.  F is kept as its
     sorted knots and a Fraction polynomial in x per gap: polys[i] on
     [knots[i - 1], knots[i]), and polys[0] = 0.  The density is F'; at a knot
-    it is the mean of the two one-sided values (tau(0) = 1/2 at a jump).
+    it is the mean of the two one-sided values (tau(0) = 1/2 at a jump).  A
+    closed form with its kinks among the knots is also a polynomial of degree
+    <= n on each gap and constant beyond the ends, so it equals F (or F') on
+    R if it does at check_points(knots, n): n + 1 points fix such a polynomial.
     """
     knots, polys = [Fraction(0)], [[Fraction(0)], [Fraction(1)]]
     for lo, hi in [(c.lo, c.hi) for c in csum.components]:
@@ -136,7 +140,14 @@ def continuous_conv_oracle(csum: ContinuousSum):
     def cdf(x) -> Fraction:
         return _horner(polys[bisect_right(knots, x)], x)
 
-    return density, cdf
+    return density, cdf, knots
+
+
+def check_points(knots: list, n: int) -> list:
+    """Sorted: each knot, a + (b - a) j step (j = 1 .. n + 1) in each gap, one beyond each end."""
+    step = Fraction(1, 1 << (n + 1).bit_length())  # 1 / 2^t, 2^t the least power of two >= n + 2
+    inner = [a + (b - a) * j * step for a, b in zip(knots, knots[1:]) for j in range(1, n + 2)]
+    return sorted([knots[0] - 1, *knots, *inner, knots[-1] + 1])
 
 
 # ---------------------------------------------------------------------------

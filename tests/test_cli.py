@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helpers
@@ -75,10 +76,9 @@ class TestParseArgs:
             "JobSpec(command='coeffs', continuous=None, discrete=None, "
             "mode=EvalMode(kind='exact', report_condition=True), at=None, q=None, "
             "lo=None, hi=None, step=None, seed=0, count=10, csv=False, out=None, "
-            "dump_config=None, suite='all', n_max=10, k_max=6, "
-            "grid_step=Fraction(1, 256))")
+            "dump_config=None, suite='all', n_max=10, k_max=6)")
         for bad in (lambda: JobSpec("pmf", bogus=1), lambda: JobSpec("pmf", None, continuous=None),
-                    lambda: JobSpec("pmf", *[None] * 18)):
+                    lambda: JobSpec("pmf", *[None] * 17)):
             with pytest.raises(TypeError):
                 bad()
 
@@ -367,8 +367,7 @@ class TestCoeffs:
 
 class TestVerify:
     def test_quick_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--count", "2000",
-                           "--step", "1/128", "--n-max", "4", "--k-max", "3")
+        code, out, _ = run(capsys, "verify", "--count", "2000", "--n-max", "4", "--k-max", "3")
         assert code == 0
         assert "suite coeffs: PASS" in out
         assert "suite disc: PASS" in out
@@ -407,13 +406,19 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH pmf(" in out and "suite disc: FAIL" in out
 
+    def test_cont_suite_checks_the_pieces(self, capsys):
+        # each knot, n + 1 points per gap and one beyond each end: 15 + 18 + 33
+        code, out, _ = run(capsys, "verify", "--suite", "cont")
+        assert code == 0
+        assert "suite cont: PASS (3 models, 66 check points, 20000 samples)" in out
+
     @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "1000"])
     def test_cont_suite_at_any_step(self, capsys, step):
-        # at step 1000 the one grid point of each model is its lo
-        code, out, _ = run(capsys, "verify", "--suite", "cont", "--count", "200",
-                           "--step", step)
-        assert code == 0
-        assert f"suite cont: PASS (3 models, grid step {step}, 200 samples)" in out
+        # the check points come from the oracle's knots, so no step is an option
+        code, out, err = run(capsys, "verify", "--suite", "cont", "--count", "200",
+                             "--step", step)
+        assert code == 2 and out == ""
+        assert err == f"usage error: unrecognized arguments: --step {step}\n"
 
     def test_cont_suite_checks_exact_cdf(self, capsys, monkeypatch):
         real = ContinuousSum.cdf
@@ -426,6 +431,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "cont", "--count", "200")
         assert code == 1
         assert "MISMATCH cdf(1/2) for " in out and "suite cont: FAIL" in out
+
+    def test_cont_suite_fails_a_nan_ks_statistic(self, capsys, monkeypatch):
+        # NaN only on the 20000 draws, never on the check points
+        real = ContinuousSum.cdf_batch
+
+        def cdf_batch(self, xs):
+            out = real(self, xs)
+            return np.full_like(out, np.nan) if np.size(out) > 10000 else out
+
+        monkeypatch.setattr(ContinuousSum, "cdf_batch", cdf_batch)
+        code, out, _ = run(capsys, "verify", "--suite", "cont")
+        assert code == 1
+        assert "MISMATCH KS: D=nan" in out and "suite cont: FAIL" in out
 
 
 COMMANDS = ["density", "cdf", "quantile", "pmf", "table", "coeffs", "verify", "sample"]
@@ -530,12 +548,6 @@ class TestCommandTable:
     def test_missing_or_unknown_command(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage error: " + message)
-
-    def test_refused_verify_step_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(ContinuousSum, "density_tau", None)  # evaluating a point raises
-        code, out, err = run(capsys, "verify", "--suite", "cont", "--step", "1/1000000000")
-        assert code == 1 and out == ""
-        assert err == "error: a grid of 6000000001 points exceeds the limit of 1000000\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

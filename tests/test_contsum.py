@@ -25,6 +25,7 @@ from unisum import (
     density_feller,
     density_olds,
 )
+from unisum.oracles import check_points, continuous_conv_oracle
 
 HALF = F(1, 2)
 PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
@@ -929,3 +930,16 @@ class TestBreakpoints:
         second = [s.density_tau(x - h).value - 2 * s.density_tau(x).value
                   + s.density_tau(x + h).value for x in (F(-1, 2), 0, F(1, 2))]
         assert second[0] == second[1] == second[2] != 0
+
+
+class TestPiecewiseProof:
+    @given(helpers.mixed_component_lists(5))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_forms_equal_the_oracle_on_all_of_r(self, pairs):
+        # every kink is an oracle knot, so agreement at the check points is
+        # equality everywhere (continuous_conv_oracle); n = 1 included
+        s = ContinuousSum.from_pairs(pairs)
+        density, cdf, knots = continuous_conv_oracle(s)
+        assert set(s.breakpoints()) <= set(knots)
+        for x in check_points(knots, s.n):
+            assert (s.density_tau(x).value, s.cdf(x).value) == (density(x), cdf(x)), x

@@ -12,6 +12,7 @@ import helpers
 from unisum import CapacityError, ContinuousSum, DiscreteSum
 from unisum.oracles import (
     DISCRETE_ORACLE_CAP,
+    check_points,
     continuous_conv_oracle,
     csc_series_oracle,
     discrete_conv_oracle,
@@ -72,17 +73,20 @@ class TestDiscreteConvOracle:
 
 class TestContinuousConvOracle:
     def test_triangular_center(self):
-        density, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 2))
+        density, _, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 2))
         assert density(0) == HALF
 
     def test_box_reproduced(self):
-        density, cdf = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)]))
+        density, cdf, knots = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)]))
         assert [density(x) for x in (F(-99, 100), 0, F(1, 3))] == [HALF] * 3
         assert density(-1) == density(1) == F(1, 4)  # tau(0) = 1/2 at the jumps
         assert [cdf(x) for x in (-5, -1, 0, 1, 5)] == [0, 0, HALF, 1, 1]
+        # n + 1 = 2 points at quarters of the one gap, 4 the least power of two >= n + 2
+        assert knots == [-1, 1]
+        assert check_points(knots, 1) == [-2, -1, -HALF, 0, 1, 2]
 
     def test_three_boxes_center(self):
-        density, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 3))
+        density, _, _ = continuous_conv_oracle(ContinuousSum.from_pairs([(0, 1)] * 3))
         assert density(0) == F(3, 8)
 
     @given(helpers.component_lists(5), helpers.points)
@@ -90,7 +94,7 @@ class TestContinuousConvOracle:
     def test_equals_brute_force(self, pairs, x):
         # at x and at lo plus every subset sum of the legs 2 a: every knot, and
         # the jumps of n = 1
-        density, cdf = continuous_conv_oracle(ContinuousSum.from_pairs(pairs))
+        density, cdf, _ = continuous_conv_oracle(ContinuousSum.from_pairs(pairs))
         lo = sum(c - a for c, a in pairs)
         subsets = itertools.product(*[(0, 2 * a) for _, a in pairs])
         for y in [x, *(lo + sum(legs) for legs in subsets)]:
