@@ -74,7 +74,10 @@ and w over scale = lcm(d, h), h the lcm of den and hi's denominator
 (ContinuousSum._start); s > 0 lies past the support, s + w < 0 below it,
 and -s - w is the mirrored start.  VertexMeasure.sum takes the polynomial
 at that scale from a plan cached by value (_plan), makes one integer pass
-over the measure and divides once, in its only Fraction.
+over the measure and divides once, in its only Fraction.  Once a batch path
+has kept the exact CDF rows (ContinuousSum._rows), a quantile step is one
+bisection of the keys, one integer Horner pass on a row or on its mirror's,
+and one integer comparison with q, with no Fraction.
 
 What each path may build and do is bounded by the capacity rule stated
 once above MEASURE_MAX in errors.py.
@@ -331,13 +334,13 @@ def _suffix_moments(keys: tuple, weights: tuple, top: int) -> list:
 
 
 def _knot_rows(keys: tuple, weights: tuple, e: int):
-    """Yield (c, before) at each knot X = -k of sum_t w_t (X + k_t)_+^e, keys descending.
+    """Yield a row c at each knot X = -k of sum_t w_t (X + k_t)_+^e, keys descending.
 
     c[r] is the exact coefficient of (X + k)^r of the polynomial just right
-    of the knot, before the top coefficient of the one just left of it: the
-    two differ only there, by the knot's weight.  Each knot costs one Taylor
-    shift of the last row by the gap between them (e (e + 1) / 2
-    multiply-adds) and one addition.  c is reused: read it before the next.
+    of the knot; the one just left of it differs only in its top
+    coefficient, by the knot's weight.  Each knot costs one Taylor shift of
+    the last row by the gap between them (e (e + 1) / 2 multiply-adds) and
+    one addition.
     """
     c = [0] * (e + 1)
     last = None
@@ -349,10 +352,9 @@ def _knot_rows(keys: tuple, weights: tuple, e: int):
                 for j in range(e - 1, i - 1, -1):
                     acc = c[j] + gap * acc
                     c[j] = acc
-        before = c[e]
         c[e] += w
         last = k
-        yield c, before
+        yield tuple(c)
 
 
 class VertexMeasure:
@@ -666,6 +668,25 @@ class ContinuousSum(_Value):
             return Fraction(0)
         return self._measure.sum(s, scale, self._polys[exponent])
 
+    def _row_sum(self, s: int, w: int, scale: int) -> tuple:
+        """(V, mirrored) at (s, w, scale) of _start, from _rows: the CDF is V / (scale^n
+        norm), or 1 minus that if mirrored: a row right of the center is read at the
+        mirror start -s - w, by F(x) = 1 - F(lo + hi - x).  V is an integer."""
+        keys, rows = self._rows
+        m = scale // self._measure.den
+        pos = bisect_left(keys, -(s // m))  # keys from pos on have arguments >= 0
+        mirrored = pos < len(keys) and rows[pos] is None
+        if mirrored:
+            s = -s - w
+            pos = bisect_left(keys, -(s // m))
+        if pos == len(keys):  # below lo, or past hi if mirrored
+            return 0, mirrored
+        t, v, power = s + m * keys[pos], 0, 1
+        for c in reversed(rows[pos]):  # sum_r c_r t^r m^(n - r)
+            v = v * t + c * power
+            power *= m
+        return v, mirrored
+
     def density_tau(self, x, mode: EvalMode = EXACT) -> EvalResult:
         """Density at x via the step-function (tau) form of the vertex sum: exactly 0
         outside the closed support, the midpoint 1/(4a) at the jumps of n = 1."""
@@ -707,6 +728,9 @@ class ContinuousSum(_Value):
         Width and midpoint come from halves of the ends, so no support with
         finite ends overflows; ends beyond the float range raise ValueError.
         quantile(0) and quantile(1) return the support endpoints.
+        Once a batch path has kept the exact CDF rows (_rows), a midpoint is
+        compared in integers on one row, else by one vertex sum that builds no
+        rows; both compare the same exact values and return the same double.
         """
         qf = _as_fraction(q, "q")
         if qf < 0 or qf > 1:
@@ -719,13 +743,19 @@ class ContinuousSum(_Value):
             return lo
         if qf == 1:
             return hi
+        rows, norm = "_rows" in self.__dict__, self._polys[self.n][1]
+        d = norm.denominator * qf.denominator  # cdf < q: V d < a scale^n, or b scale^n < V d
+        a, b = qf.numerator * norm.numerator, (qf.denominator - qf.numerator) * norm.numerator
         half_tol = (0.5 * hi - 0.5 * lo) * 2.0 ** -40
         mid = 0.5 * lo + 0.5 * hi
         while 0.5 * hi - 0.5 * lo > half_tol and lo < mid < hi:
-            if self._tau(*self._start(*mid.as_integer_ratio()), self.n, 1) < qf:
-                lo = mid
+            s, w, scale = self._start(*mid.as_integer_ratio())
+            if rows:
+                v, mirrored = self._row_sum(s, w, scale)
+                below = b * scale ** self.n < v * d if mirrored else v * d < a * scale ** self.n
             else:
-                hi = mid
+                below = self._tau(s, w, scale, self.n, 1) < qf
+            lo, hi = (mid, hi) if below else (lo, mid)
             mid = 0.5 * lo + 0.5 * hi
         return mid
 
@@ -735,10 +765,10 @@ class ContinuousSum(_Value):
     # vertex measure (a univariate box spline).  _pieces holds, at every
     # knot, both Taylor expansions in the length unit _unit: of the piece to
     # its right, and the top coefficient of the piece to its left.  They
-    # come from one exact integer pass (_knot_rows) from lo to the center,
-    # and each is rounded once to a double; past the center the mirror
-    # identity gives the same doubles up to sign, and the CDF's constant
-    # term one exact division per knot.  A point finds its piece by
+    # round, once each, the exact CDF rows that one integer pass from lo to
+    # the center keeps (_rows, which quantile reads too); past the center
+    # the mirror identity gives the same doubles up to sign, and the CDF's
+    # constant term one exact division per knot.  A point finds its piece by
     # np.searchsorted and is evaluated by Horner about the nearer knot, at
     # the offset z = (x - knot) / _unit, which carries the knot's rounding
     # residual and so is exact up to its last rounding.  The error is then
@@ -757,6 +787,18 @@ class ContinuousSum(_Value):
                                - widest.denominator.bit_length())
 
     @cached_property
+    def _rows(self) -> tuple:
+        """(keys, rows): rows[i] the exact CDF row of _knot_rows about the knot of keys[i]
+        for the ceil(K / 2) knots from lo to the center, None for the others; checked
+        against the capacity rule (errors.MEASURE_MAX) before anything is built."""
+        measure, n = self._measure, self.n
+        measure._check(_bound(measure.steps) * (n + 2), "a piece table")
+        keys, weights = measure.full
+        half = (len(keys) + 1) // 2
+        walked = list(islice(_knot_rows(keys, weights, n), half))
+        return keys, (None,) * (len(keys) - half) + tuple(reversed(walked))
+
+    @cached_property
     def _pieces(self) -> tuple:
         """(knots, residuals, splits, {e: (columns, left tops)}) for e = n and n - 1.
 
@@ -764,18 +806,16 @@ class ContinuousSum(_Value):
         that rounding left off, and splits[i] a point between knots i and
         i + 1 (inf for the last).  columns[r][i] is the coefficient of z^r
         about knot i of the piece right of it, left tops[i] the top
-        coefficient of the piece left of it.  Checked against the capacity
-        rule (errors.MEASURE_MAX) before anything is built.  _knot_rows walks
-        the first ceil(K / 2) of the K knots, from lo; the others mirror them:
-        one numpy gather and sign flip, and one exact division per knot for
-        the CDF constant.  Every knot keeps its own exact double and residual.
+        coefficient of the piece left of it.  The first ceil(K / 2) of the K
+        knots, from lo, round the rows of _rows, which checks the capacity
+        rule (errors.MEASURE_MAX) first; the others mirror them: one numpy
+        gather and sign flip, and one exact division per knot for the CDF
+        constant.  Every knot keeps its own exact double and residual.
         """
         import numpy as np
 
-        measure, n = self._measure, self.n
-        measure._check(_bound(measure.steps) * (n + 2), "a piece table")
-        keys, weights = measure.full
-        den = measure.den
+        n, (keys, exact) = self.n, self._rows
+        weights, den = self._measure.full[1], self._measure.den
         scale, shift, _ = self._origin
         knots, residuals = [], []
         for k in reversed(keys):
@@ -786,7 +826,7 @@ class ContinuousSum(_Value):
             residuals.append((num * q - p * scale) / (scale * q))
         # The CDF's coefficient of z^r is c_r unit^r den^(r - n) / norm_n, the
         # density's of z^(r - 1) is r c_r unit^(r - 1) den^(r - n) / norm_n.
-        # Each column is (index into c + [before], numerator, denominator) in
+        # Each column is (index into c + (left top,), numerator, denominator) in
         # lowest terms, which rounds the same quotients from smaller integers:
         # the CDF's n + 1 columns and left top, then the density's n and left top.
         u, norm = self._unit, self._polys[n][1]
@@ -797,14 +837,13 @@ class ContinuousSum(_Value):
                    for r in range(1, n + 1)]
         plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
         plan = [(r, *Fraction(m, d).as_integer_ratio()) for r, m, d in plan]
-        half, rows, starts = (len(keys) + 1) // 2, [], []
-        for c, before in islice(_knot_rows(keys, weights, n), half):
-            ext = c + [before]
+        half, rows = (len(keys) + 1) // 2, []
+        for c, w in islice(zip(reversed(exact), reversed(weights)), half):
+            ext = c + (c[n] - w,)  # the left top: the knot's weight taken off
             rows.append([ext[r] * m / d for r, m, d in plan])
-            starts.append(c[0])
         # Knot i >= half mirrors j = K - 1 - i, as F(x) = 1 - F(lo + hi - x): its
         # coefficient r >= 1 is (-1)^(r + 1) times j's left of the knot (c_j, with
-        # before_j on top), its left top (-1)^(n + 1) times j's right top, and its
+        # j's left top), its left top (-1)^(n + 1) times j's right top, and its
         # constant den^n norm - c_j[0] over den^n norm.  Each rounds as j's did.
         mirror = np.arange(len(keys) - half - 1, -1, -1)
         flip = [p + (r == n) - (r > n) for p, (r, _, _) in enumerate(plan)]
@@ -812,7 +851,7 @@ class ContinuousSum(_Value):
         table = np.array(rows)
         right = table[np.ix_(mirror, flip)] * sign + 0.0  # -0.0 becomes 0.0, as 0 / d
         total, (_, m, d) = (den ** n * norm).numerator, plan[0]
-        right[:, 0] = [(total - starts[j]) * m / d for j in mirror]
+        right[:, 0] = [(total - exact[-1 - j][0]) * m / d for j in mirror]
         table = np.concatenate([table, right]).T.copy()
         knots = np.array(knots)
         splits = np.append(knots[:-1] + 0.5 * np.diff(knots), math.inf)

@@ -1,5 +1,6 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
+import contextlib
 import math
 import random
 import sys
@@ -32,6 +33,15 @@ PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
 UNIT_BOX = ContinuousSum.from_pairs([(0, 1)])
 TWO_MIXED = ContinuousSum.from_pairs([(0, 1), (0, 2)])
 TRIANGLE = ContinuousSum.from_pairs([(HALF, HALF), (HALF, HALF)])  # two U[0,1]
+
+# n = 1..7 components with identical, 1/8-grid, generic double or mixed widths
+_piece_models = st.one_of(
+    st.builds(lambda pair, n: [pair] * n,
+              st.tuples(helpers.centers, st.one_of(helpers.widths, helpers.generic_widths)),
+              st.integers(min_value=1, max_value=7)),
+    helpers.component_lists(max_n=7),
+    st.lists(st.tuples(helpers.generic_centers, helpers.generic_widths), min_size=1, max_size=7),
+    helpers.mixed_component_lists(max_n=7)).map(ContinuousSum.from_pairs)
 
 
 class TestSupport:
@@ -186,6 +196,64 @@ class TestQuantile:
             TWO_MIXED.quantile(F(-1, 10))
         with pytest.raises(ValueError):
             TWO_MIXED.quantile(F(11, 10))
+
+    @staticmethod
+    def _assert_rows_keep_quantiles(s, qs):
+        # after a batch call quantile reads the kept rows, a fresh copy the
+        # vertex sums: both compare exact values, so they return the same doubles
+        fresh = ContinuousSum(s.components)
+        with contextlib.suppress(OverflowError):  # the rounded table may overflow;
+            s.cdf_batch([0.0])                    # the exact rows never do
+        assert "_rows" in s.__dict__
+        assert [s.quantile(q) for q in qs] == [fresh.quantile(q) for q in qs]
+        assert "_rows" not in fresh.__dict__
+
+    @given(_piece_models, st.floats(min_value=0, max_value=1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_give_the_same_doubles(self, s, q):
+        self._assert_rows_keep_quantiles(s, [q, HALF, F(1, 10 ** 15), 1 - F(1, 10 ** 15)])
+
+    @pytest.mark.parametrize("pairs", [[(1e6, 1e-12)] * 3, [(0, 1e-300), (1, 1e300)]],
+                             ids=["narrower-than-an-ulp", "widths-across-the-float-range"])
+    def test_rows_give_the_same_doubles_at_extreme_scales(self, pairs):
+        self._assert_rows_keep_quantiles(ContinuousSum.from_pairs(pairs),
+                                         [F(1, 10), HALF, F(1, 10 ** 15), 1 - F(1, 10 ** 15)])
+
+    def test_rows_replace_the_vertex_sums(self, monkeypatch):
+        real, calls = contsum.VertexMeasure.sum, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(contsum.VertexMeasure, "sum", counted)
+        for s in (_eighths(9, 9), _generic_shifted(9, 9)):
+            s.density_batch([0.0])
+            s.quantile(F(1, 10)), s.quantile(F(9, 10))
+        assert calls == []
+        _generic_shifted(9, 9).quantile(F(1, 10))  # a fresh model sums the vertices
+        assert calls
+
+    def test_fresh_model_builds_no_rows(self):
+        s = _generic_shifted(9, 9)
+        s.quantile(F(1, 10))
+        assert "_rows" not in s.__dict__ and "_pieces" not in s.__dict__
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_row_sum_equals_cdf(self, n):
+        # both branches: rows up to the center read directly, the others at the mirror
+        for s in (ContinuousSum.from_pairs([(1, 3)] * n), _eighths(n, n), _generic_shifted(n, n)):
+            lo, hi = s.support()
+            center = (lo + hi) / 2  # a knot, its own mirror, when the count of keys is odd
+            near = [F(math.nextafter(float(center), toward)) for toward in (-math.inf, math.inf)]
+            mirrored = set()
+            for x in s.breakpoints() + [center, *near, lo, hi, lo - 1, hi + 1]:
+                s_, w, scale = s._start(*x.as_integer_ratio())
+                v, flag = s._row_sum(s_, w, scale)
+                value = F(v, scale ** n) / s._polys[n][1]
+                assert (1 - value if flag else value) == s.cdf(x).value, x
+                mirrored.add(flag)
+            assert mirrored == {False, True}
 
 
 class TestMoments:
@@ -812,16 +880,6 @@ def _assert_table_rounded_once(s):
                                                              for r, c in enumerate(cdf) if r), i
         assert bits([top[i]]) == bits([n * left / u]), i
     assert i + 1 == len(knots)
-
-
-# n = 1..7 components with identical, 1/8-grid, generic double or mixed widths
-_piece_models = st.one_of(
-    st.builds(lambda pair, n: [pair] * n,
-              st.tuples(helpers.centers, st.one_of(helpers.widths, helpers.generic_widths)),
-              st.integers(min_value=1, max_value=7)),
-    helpers.component_lists(max_n=7),
-    st.lists(st.tuples(helpers.generic_centers, helpers.generic_widths), min_size=1, max_size=7),
-    helpers.mixed_component_lists(max_n=7)).map(ContinuousSum.from_pairs)
 
 
 class TestBatch:
