@@ -17,10 +17,11 @@ above MEASURE_MAX in errors.py fails at its first point.  All three exit
 with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
 --count at least 1; anything else is a usage error (exit 2).
 
-Only sample and verify import numpy, through the oracles module, when they
-run; the other subcommands are pure integer and Fraction code.  Importing
-this module, or the package, loads neither numpy nor dataclasses, inspect
-or typing: the package's value types are plain classes.
+Only verify's cont suite, which a plain verify runs too, imports numpy, for
+its batch paths and its KS test; sample draws from the standard library's
+random, and the other subcommands are pure integer and Fraction code.
+Importing this module, or the package, loads neither numpy nor dataclasses,
+inspect or typing: the package's value types are plain classes.
 """
 
 from __future__ import annotations

@@ -3,21 +3,21 @@
 Nothing in this module calls the formula code it is used to check: the
 discrete oracle counts lattice points, the continuous oracle convolves
 the boxes exactly as piecewise polynomials, the series oracle multiplies
-truncated power series, and the sampler just draws and adds uniforms.  The
-test suite (and the CLI `verify` command) compares these against the
-vertex-sum formulas.
+truncated power series, and the sampler just draws and adds uniforms from
+the standard library's `random`.  The test suite (and the CLI `verify`
+command) compares these against the vertex-sum formulas.  Only
+`ks_statistic` imports numpy, when it is called.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import zip_longest
 
-import numpy as np
-
-from .contsum import ContinuousSum, _rounded
+from .contsum import ContinuousSum, _rounded, _whole
 from .discsum import DiscreteSum
 from .errors import CapacityError
 
@@ -154,16 +154,20 @@ def check_points(knots: list, n: int) -> list:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def sample_sum(csum: ContinuousSum, count: int, seed: int) -> np.ndarray:
+def sample_sum(csum: ContinuousSum, count: int, seed: int) -> list[float]:
     """Draw `count` independent realizations of the sum, reproducibly.
 
-    The seed fixes the stream: equal (csum, count, seed) give equal output.
-    ValueError, before any draw, unless every component's width and the
-    ends of the sum of the first j components, for every j, round to finite
-    doubles.
+    The stream is random.Random(seed).random(): component by component, in
+    order, each of the `count` running totals t becomes t + (a + (b - a) u)
+    with the next u, [a, b] the component's ends rounded to doubles.  The
+    random module keeps random() the same for an int seed across Python
+    versions, so equal (csum, count, seed) give equal output on any of them.
+    ValueError, before any draw, unless count is an int >= 1 and seed an
+    int >= 0, and every component's width and the ends of the sum of the
+    first j components, for every j, round to finite doubles.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _whole(count, "count", 1)
+    _whole(seed, "seed", 0)
     lo = hi = 0
     ends = []
     for comp in csum.components:
@@ -172,16 +176,18 @@ def sample_sum(csum: ContinuousSum, count: int, seed: int) -> np.ndarray:
         if not all(map(math.isfinite, (b - a, _rounded(lo), _rounded(hi)))):
             support = [_rounded(v) for v in csum.support()]
             raise ValueError(f"draws of the sum on {support} leave the float range")
-        ends.append((a, b))
-    rng = np.random.default_rng(seed)
-    total = np.zeros(count)
-    for a, b in ends:
-        total += rng.uniform(a, b, size=count)
+        ends.append((a, b - a))
+    uniform = random.Random(seed).random
+    total = [0.0] * count
+    for a, width in ends:
+        total = [t + (a + width * uniform()) for t in total]
     return total
 
 
-def ks_statistic(samples: np.ndarray, cdf) -> float:
+def ks_statistic(samples, cdf) -> float:
     """Kolmogorov-Smirnov sup distance between samples and a vectorised reference CDF."""
+    import numpy as np
+
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     if n == 0:

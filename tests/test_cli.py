@@ -560,9 +560,11 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 class TestImportPath:
-    """numpy is imported by the array paths only: the batch evaluations, the
-    oracles and the sample and verify subcommands.  Importing the package and
-    the CLI loads none of numpy, dataclasses, inspect or typing."""
+    """numpy is imported by the array paths only: the batch evaluations and
+    the KS statistic, and through them the cont suite of verify.  Every other
+    subcommand runs with numpy blocked, sample and the disc and coeffs suites
+    of verify included.  Importing the package and the CLI loads none of
+    numpy, dataclasses, inspect or typing."""
 
     def test_import_loads_no_heavy_modules(self):
         code = ("import json, sys\n"
@@ -576,9 +578,10 @@ class TestImportPath:
         assert not added & {"numpy", "dataclasses", "inspect", "typing"}
 
     def test_scalar_commands_run_without_numpy(self):
-        commands = [c for c in sorted(GOLDEN) if not c.startswith("sample")]
+        commands = sorted(GOLDEN)
         assert {c.split()[0] for c in commands} == {
-            "density", "cdf", "quantile", "pmf", "table", "coeffs"}
+            "density", "cdf", "quantile", "pmf", "table", "coeffs", "sample"}
+        suites = ["verify --suite disc", "verify --suite coeffs --n-max 4 --k-max 3"]
         code = (
             "import contextlib, io, json, sys\n"
             "sys.modules['numpy'] = None  # any import of numpy raises\n"
@@ -589,14 +592,17 @@ class TestImportPath:
             "        status = unisum.cli.main(argv)\n"
             "    out.append((status, text.getvalue()))\n"
             "print(json.dumps(out))\n")
-        argvs = [c.format(model=MODEL, range=RANGE).split() for c in commands]
+        argvs = [c.format(model=MODEL, range=RANGE).split() for c in commands + suites]
         done = _python(code, json.dumps(argvs))
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [[0, GOLDEN[c]] for c in commands]
+        out = json.loads(done.stdout)
+        assert out[:len(commands)] == [[0, GOLDEN[c]] for c in commands]
+        for status, text in out[len(commands):]:
+            assert status == 0 and text.endswith("verification passed\n"), text
 
     @pytest.mark.parametrize("call", [
         "ContinuousSum.from_pairs([(0, 1)]).density_batch([0.0])",
-        "main(['sample', '--comp=0:1', '--count=2', '--seed=1'])",
+        "main(['verify', '--suite', 'cont', '--count', '200'])",
     ])
     def test_array_paths_import_numpy(self, call):
         code = ("import sys\n"

@@ -216,10 +216,10 @@ GOLDEN = {
         "-0.8422414369106264\n"
     ),
     "sample {model} --count 4 --seed 7": (
-        "0.09587821879301595\n"
-        "0.433106753902863\n"
-        "-0.4914473269978554\n"
-        "-1.221332992676273\n"
+        "-1.5281499805173533\n"
+        "-1.3649886682011245\n"
+        "-1.0643484561710106\n"
+        "-1.9653400400544068\n"
     ),
 }
 

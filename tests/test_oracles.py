@@ -2,11 +2,18 @@
 
 import itertools
 import math
+import os
+import random
+import statistics
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from unisum import CapacityError, ContinuousSum, DiscreteSum
@@ -110,22 +117,50 @@ class TestSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, sample_sum(s, 1000, seed=43))
 
+    @settings(max_examples=50, deadline=None)
+    @given(helpers.mixed_component_lists(4), st.integers(1, 40), st.integers(0, 2 ** 70))
+    def test_stream(self, pairs, count, seed):
+        # the contract: random.Random(seed).random(), component by component
+        s = ContinuousSum.from_pairs(pairs)
+        uniform = random.Random(seed).random
+        expected = [0.0] * count
+        for comp in s.components:
+            a, b = float(comp.lo), float(comp.hi)
+            for i in range(count):
+                expected[i] += a + (b - a) * uniform()
+        assert sample_sum(s, count, seed) == expected
+
+    def test_same_bytes_under_any_hash_seed(self):
+        argv = [sys.executable, "-m", "unisum.cli", "sample", "--comp=0:1",
+                "--comp=1/2:1/4", "--count=5", "--seed=7"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = [subprocess.run(argv, capture_output=True, timeout=120, check=True,
+                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": h}).stdout
+                for h in ("0", "4242")]
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 5
+
     def test_moment_bands(self):
         s = ContinuousSum.from_pairs([(0, 1)] * 4)
         draws = sample_sum(s, 10 ** 6, seed=7)
         # CLT band around the exact mean: 3 sigma of the sample mean
-        assert abs(draws.mean()) < 0.005
-        assert draws.var() == pytest.approx(4 / 3, rel=0.02)
+        assert abs(statistics.fmean(draws)) < 0.005
+        assert statistics.pvariance(draws) == pytest.approx(4 / 3, rel=0.02)
 
     def test_range_respected(self):
         s = ContinuousSum.from_pairs([(3, F(1, 4))])
         draws = sample_sum(s, 10 ** 4, seed=1)
-        assert draws.min() >= 2.75 and draws.max() <= 3.25
+        assert min(draws) >= 2.75 and max(draws) <= 3.25
 
     def test_validation(self):
         s = ContinuousSum.from_pairs([(0, 1)])
         with pytest.raises(ValueError):
             sample_sum(s, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_an_int_at_least_zero(self, seed):
+        # random.Random would give -s the stream of s and take floats
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sample_sum(ContinuousSum.from_pairs([(0, 1)]), 3, seed=seed)
 
     @pytest.mark.parametrize("pairs", [[(0, 1e308)],                       # width 2e308
                                        [(F(10) ** 400, 1), (-F(10) ** 400, 1)],
