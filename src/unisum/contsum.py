@@ -56,9 +56,9 @@ that one bisection per entry of A locates.  Three splits are used:
   the larger one tabulated.  It answers generic widths, whose 2^n vertices
   never merge, from halves of about 2^(n/2) entries each.
 * Moment table (A trivial): the whole merged measure with its moments, one
-  bisection and O(e) integer operations per point and term.  It answers
-  models asked enough points to pay for it, such as the commensurate widths
-  of a tabulation (widths on a 1/8 grid leave far fewer than 2^n entries).
+  bisection and one Horner pass of deg g per point (see the point path).
+  It answers models asked enough points to pay for it, such as commensurate
+  widths (widths on a 1/8 grid leave far fewer than 2^n entries).
 
 The choice counts terms (an entry built, a moment, one term of a point)
 from sizes known before anything is built, the bounds on the entries of A
@@ -74,10 +74,12 @@ and w over scale = lcm(d, h), h the lcm of den and hi's denominator
 (ContinuousSum._start); s > 0 lies past the support, s + w < 0 below it,
 and -s - w is the mirrored start.  VertexMeasure.sum takes the polynomial
 at that scale from a plan cached by value (_plan), makes one integer pass
-over the measure and divides once, in its only Fraction.  Once a batch path
-has kept the exact CDF rows (ContinuousSum._rows), a quantile step is one
-bisection of the keys, one integer Horner pass on a row or on its mirror's,
-and one integer comparison with q, with no Fraction.
+over A, one Horner pass per entry against B's row (a polynomial of several
+terms, the PMF, folded into the row once and kept), and divides once, in
+its only Fraction.  Once a batch path has kept the exact CDF rows
+(ContinuousSum._rows), a quantile step is one bisection of the keys, one
+integer Horner pass on a row or on its mirror's, and one integer comparison
+with q, with no Fraction.
 
 What each path may build and do is bounded by the capacity rule stated
 once above MEASURE_MAX in errors.py.
@@ -372,10 +374,10 @@ class VertexMeasure:
     to top, and pos(a) is one bisection of B's keys; _choose picks the split.
 
     Instances are built lazily and cache what they build.  The choice of a
-    path, its build and the count of terms summed share one lock, so
-    threads sharing a model build each path once and drop it once; the sums
-    themselves run outside it.  The path decides which exact evaluation
-    answers, never the value.
+    path, its build and the count of terms summed share one lock, so threads
+    sharing a model build each path once and drop it once; the sums and the
+    rows they fold (two threads folding one row write equal tuples) run
+    outside it.  The path decides which exact evaluation answers, never the value.
     """
 
     def __init__(self, legs: list[Fraction], top: int):
@@ -492,13 +494,13 @@ class VertexMeasure:
         if parts is None:
             a, b = self._split(path)
             if not b:
-                parts = (*self.full, None, None)
+                parts = (*self.full, None, None, None)
             else:
                 self._check(self._built(path), "a vertex measure and moment table")
                 a_keys, a_weights = _vertex_measure(a)
                 b_keys, b_weights = self.full if not a else _vertex_measure(b)
                 parts = (a_keys, a_weights, b_keys,
-                         _suffix_moments(b_keys, b_weights, self.top))
+                         _suffix_moments(b_keys, b_weights, self.top), [None, None, None])
             self._parts[path] = parts
         return parts
 
@@ -512,12 +514,17 @@ class VertexMeasure:
         g_+(y) is g(y) tau(y), tau(0) = 1/2: a zero argument takes half of
         g's constant term.  Over scale^degree the sum is one integer; the
         arguments ascend with the keys, so bisection locates the zero ones.
+        A g of several terms is folded into each row of B the first time a
+        point reads it, and kept for one g at one scale (folds); a monomial is not.
         path forces _DIRECT, _TABLE or _SPLIT; by default _choose does.
         """
         terms, divisor = poly
         m = scale // self.den
         with self._lock:
-            a_keys, a_weights, b_keys, rows = self._build(path or self._choose(terms))
+            a_keys, a_weights, b_keys, rows, kept = self._build(path or self._choose(terms))
+            if kept and len(terms) > 1 and kept[:2] != [terms, scale]:
+                kept[:] = terms, scale, [None] * len(rows)  # one polynomial at one scale
+            folds = kept[2] if kept and len(terms) > 1 else None
             count, const, terms, folded, denominator = _plan(terms, scale, m, rows is not None)
             self._spent += len(a_keys) * count
         if rows is None:  # one power per entry and term
@@ -530,16 +537,26 @@ class VertexMeasure:
         twice, zero = 0, rows[-1]
         for a, w in zip(a_keys, a_weights):
             t = s + m * a
-            row = rows[bisect_right(b_keys, (-t) // m)]  # B's args from there on are > 0
+            row = rows[i := bisect_right(b_keys, (-t) // m)]  # B's args from row i on are > 0
             if const:
                 twice += const * w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
             if row is zero:
                 continue
-            for coef in folded:  # one Horner pass in t per term
-                acc = 0
-                for c, v in zip(coef, row):
+            acc = 0
+            if folds is None:  # a monomial: one Horner pass in t against the row
+                for c, v in zip(folded[0], row):
                     acc = acc * t + c * v
-                twice += 2 * w * acc
+            else:
+                q = folds[i]
+                if q is None:  # g folded into row i: its coefficients in t, highest first
+                    q = [0] * max(map(len, folded))
+                    for coef in folded:
+                        for j, (c, v) in enumerate(zip(coef, row), len(q) - len(coef)):
+                            q[j] += c * v
+                    folds[i] = q = tuple(q)
+                for c in q:  # one Horner pass in t for all of g
+                    acc = acc * t + c
+            twice += 2 * w * acc
         return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
 
 

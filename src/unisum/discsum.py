@@ -189,16 +189,17 @@ class DiscreteSum(_Value):
     # -- public operations ---------------------------------------------------
 
     def pmf_tau(self, p: int) -> Fraction:
-        """P(S = p) via the step-function form, as an exact rational.
+        """P(S = p) via the step-function form, as an exact rational, summed at
+        -|p|: the PMF is even, and fewer arguments are positive left of the center.
 
         p must be integral (an int other than a bool, or a float or Fraction
         equal to one); anything else raises ValueError.
         """
-        return self._pmf(_lattice_point(p))
+        return self._pmf(-abs(_lattice_point(p)))
 
     def pmf_sign(self, p: int) -> Fraction:
-        """P(S = p) via the sign-function form, the mean of the tau form at p
-        and -p (the mirror identity, contsum module docstring); equals pmf_tau."""
+        """P(S = p) via the sign-function form, the tau form summed at p and at -p
+        and halved (the mirror identity, contsum module docstring); equals pmf_tau."""
         point = _lattice_point(p)
         return (self._pmf(point) + self._pmf(-point)) / 2
 

@@ -8,16 +8,18 @@
 # 2 (2 m_j + 1)) counted in units of their common denominator.
 # * A vertex sum splits the legs into A and B and builds A's measure and,
 #   unless B is trivial, B's measure with a moment table of top exponent + 1
-#   columns: A's bound plus B's bound times (top exponent + 2) must fit.  If
-#   A is all of them (the direct loop), nothing more is built, but each
-#   point raises every entry to a power of up to the top exponent: A's bound
-#   times (top exponent + 1) must fit.  Only fitting splits are taken, and a
-#   model drops a split's parts when it moves on; with none, the first
-#   density, CDF or PMF is refused, naming the smallest size.  1,023
-#   identical components are admitted, 1,024 refused (1025 * 1025
-#   continuous, 1025 * 1024 discrete).  29 generic continuous widths
-#   (2**14 + 2**15 * 31 entries) take about 0.8 s to the first exact cdf and
-#   175 MB of peak RSS; 30 are refused.
+#   columns: A's bound plus B's bound times (top exponent + 2) must fit.  A
+#   polynomial of several terms (the PMF) keeps its fold into a row of B, at
+#   most one (degree + 1)-tuple per row, no more than the table holds; the
+#   folds go with the split's parts, or when the scale changes.  If A is all
+#   of them (the direct loop), nothing more is built, but each point raises
+#   every entry to a power of up to the top exponent: A's bound times (top
+#   exponent + 1) must fit.  Only fitting splits are taken, and a model drops
+#   a split's parts when it moves on; with none, the first density, CDF or
+#   PMF is refused, naming the smallest size.  1,023 identical components are
+#   admitted, 1,024 refused (1025 * 1025 continuous, 1025 * 1024 discrete).
+#   29 generic continuous widths (2**14 + 2**15 * 31 entries) take about
+#   0.8 s to the first exact cdf and 175 MB of peak RSS; 30 are refused.
 # * breakpoints() builds the whole measure, whose bound must fit: refused
 #   from 21 generic widths on (2**20 generic entries take about 2.5 s and
 #   230 MB of peak RSS).

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from unisum import CapacityError, ContinuousSum, DiscreteSum
+from unisum import CapacityError, ContinuousSum, DiscreteSum, contsum
 from unisum.oracles import csc_series_oracle
+
+PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
 
 
 def rational(rng: random.Random, lo, hi, max_den: int = 8) -> Fraction:
@@ -110,6 +112,13 @@ def assert_identical_components_work():
 def monomial(e: int) -> tuple:
     """y^e over the divisor 1, as VertexMeasure.sum takes a polynomial."""
     return ((e, 1),), 1
+
+
+def forced(model, path):
+    """A copy of model, with no caches, whose vertex sums all take path."""
+    copy = type(model)(model.components)
+    copy._measure._path, copy._measure._due = path, math.inf
+    return copy
 
 
 def tau_sum(measure, start, poly, path=None) -> Fraction:

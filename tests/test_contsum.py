@@ -29,7 +29,7 @@ from unisum import (
 from unisum.oracles import check_points, continuous_conv_oracle
 
 HALF = F(1, 2)
-PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
+PATHS = helpers.PATHS
 UNIT_BOX = ContinuousSum.from_pairs([(0, 1)])
 TWO_MIXED = ContinuousSum.from_pairs([(0, 1), (0, 2)])
 TRIANGLE = ContinuousSum.from_pairs([(HALF, HALF), (HALF, HALF)])  # two U[0,1]
@@ -678,6 +678,23 @@ class TestVertexPaths:
         assert generic._measure._path == contsum._TABLE
         assert set(generic._measure._parts) == {contsum._TABLE}
 
+    @pytest.mark.parametrize("model", [_grid_model(14, 8), _generic_model(5, 7)])
+    def test_folded_rows_at_two_scales(self, model):
+        # a polynomial of several terms is folded into B's rows and kept for
+        # one scale: points on the 1/13 and 1/7 grids in turn drop and fold the
+        # rows again, and each point asked twice reads its kept fold
+        poly = (((model.n, 3), (model.n - 2, -5), (1, 7), (0, 2)), F(3, 4))
+        lo, hi = model.support()
+        starts = [(lo - hi) * F(i, den) for i in range(1, 7) for den in (13, 7)]
+        direct = helpers.forced(model, contsum._DIRECT)._measure
+        want = [helpers.tau_sum(direct, x, poly) for x in starts]
+        for path in (contsum._TABLE, contsum._SPLIT):
+            measure = helpers.forced(model, path)._measure
+            got = [[helpers.tau_sum(measure, x, poly) for _ in range(2)] for x in starts]
+            assert got == [[v, v] for v in want], path
+            kept = measure._parts[path][4]
+            assert kept[:2] == [poly[0], math.lcm(measure.den, starts[-1].denominator)]
+
     def test_pmf_moves_to_table(self):
         d = DiscreteSum.from_half_ranges([128, 256, 384] * 4)
         values = [d.pmf_tau(p) for p in range(-20, 20)]
@@ -730,13 +747,6 @@ class TestScaleAndShift:
             assert fn(yf, FLOAT).value == float(fn(F(yf)).value)
 
 
-def _forced(model, path):
-    """A copy of model, with no caches, whose vertex sums all take path."""
-    copy = type(model)(model.components)
-    copy._measure._path, copy._measure._due = path, math.inf
-    return copy
-
-
 def _spellings(x):
     """(x as given, the rational it stands for): a Fraction, a str, a float and,
     if integral, an int."""
@@ -761,7 +771,7 @@ class TestPointPath:
             st.fractions(min_value=0, max_value=1, max_denominator=97), label="t")
         xs = [lo, hi, lo - eps, hi + eps, kink, kink + eps, inside, F(round(inside))]
         forms = ("density_tau", "density_sign", "cdf", "cool_identity_residual")
-        models = [_forced(s, path) for path in PATHS]
+        models = [helpers.forced(s, path) for path in PATHS]
         for x in xs:
             for given_x, exact_x in _spellings(x):
                 want = {what: helpers.brute_continuous(pairs, exact_x, what) for what in forms}
@@ -782,7 +792,7 @@ class TestPointPath:
         for point in {p, -d.span, d.span, -d.span - 1, d.span + 1}:
             want = helpers.brute_pmf(ms, point, "tau"), helpers.brute_pmf(ms, point, "sign")
             for given_p, _ in _spellings(F(point)):
-                for model in (_forced(d, path) for path in PATHS):
+                for model in (helpers.forced(d, path) for path in PATHS):
                     assert (model.pmf_tau(given_p), model.pmf_sign(given_p)) == want, \
                         (model._measure._path, given_p)
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import helpers
 from unisum import (
+    ContinuousSum,
     DiscreteComponent,
     DiscreteSum,
+    contsum,
     csc_coefficient,
     discsum,
     pmf_n2_closed,
@@ -202,6 +204,126 @@ class TestPmfProperties:
         assert worst % 2 == n % 2
         if n % 2 == 1:
             assert worst != 0
+
+
+def _counting_rows(monkeypatch):
+    """Patch contsum._suffix_moments so that its rows count how often they are read
+    whole; return the count, a list of one int.  A kept fold reads no row: a
+    fold of g reads its row once per term, a monomial's Horner pass once."""
+    real, reads = contsum._suffix_moments, [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(contsum, "_suffix_moments",
+                        lambda *args: [Row(row) for row in real(*args)])
+    return reads
+
+
+def _folded(measure, path) -> int:
+    """The rows of path that hold a fold of the polynomial last summed there."""
+    return sum(q is not None for q in measure._parts[path][4][2] or ())
+
+
+class TestFold:
+    """The PMF polynomial folded into each row of B's moments once, and kept;
+    pmf_tau summed at -|p|."""
+
+    @pytest.mark.parametrize("ms", [[2], [1, 1], [1, 2, 3], [4, 0, 2, 5], [1] * 9,
+                                    [3, 1, 4, 1, 5, 9, 2], [128, 256, 384] * 2])
+    def test_mirror(self, ms):
+        # pmf_tau at p > 0 takes -p; the tau sum at p's own start, which
+        # pmf_tau took before the mirror, gives the same rational
+        d = DiscreteSum.from_half_ranges(ms)
+        start = {p: 2 * p - sum(c.count for c in d.components) for p in (1, d.span - 1, d.span)}
+        oracle = discrete_conv_oracle(d) if d.span < 100 else None
+        for path in helpers.PATHS:
+            model = helpers.forced(d, path)
+            for p, s in start.items():
+                at_p = model._measure.sum(s, 1, model._laurent, path)
+                assert model.pmf_tau(p) == model.pmf_tau(-p) == at_p, (path, p)
+                assert oracle is None or at_p == oracle.get(p, 0), (path, p)
+
+    @given(helpers.half_range_lists(max_n=6, m_max=4))
+    @settings(max_examples=30, deadline=None)
+    def test_kept_rows_equal_the_oracle(self, ms):
+        # each point asked twice, so the second call reads the kept fold;
+        # pmf_sign reads the rows of the other half, at p itself
+        oracle = discrete_conv_oracle(DiscreteSum.from_half_ranges(ms))
+        for path in helpers.PATHS:
+            d = helpers.forced(DiscreteSum.from_half_ranges(ms), path)
+            for p in range(-d.span, d.span + 1):
+                assert d.pmf_tau(p) == d.pmf_tau(p) == d.pmf_sign(p) == oracle[p], (path, p)
+
+    def test_a_kept_fold_reads_no_row(self, monkeypatch):
+        reads = _counting_rows(monkeypatch)
+        d = helpers.forced(DiscreteSum.from_half_ranges([5, 9, 2]), contsum._TABLE)
+        terms = len(d._laurent[0])  # (y^2 - 1): two terms
+        assert terms == 2
+        d.pmf_tau(0)
+        assert reads[0] == terms and _folded(d._measure, contsum._TABLE) == 1
+        d.pmf_tau(-1)  # the same row as p = 0, so nothing is folded
+        assert reads[0] == terms and _folded(d._measure, contsum._TABLE) == 1
+        d.pmf_tau(-5)  # a row further out, folded once
+        d.pmf_tau(5)   # summed at -5 (at 5 itself it would read a row nearer in)
+        assert reads[0] == 2 * terms and _folded(d._measure, contsum._TABLE) == 2
+
+    def test_monomials_keep_no_row(self, monkeypatch):
+        reads = _counting_rows(monkeypatch)
+        s = helpers.forced(ContinuousSum.from_pairs([(0, 1), (1, 2), (0, 3)]), contsum._TABLE)
+        for k in range(1, 4):
+            s.density_tau(F(1, 3))
+            s.cdf(F(1, 3))
+            assert reads[0] == 2 * k  # one Horner pass on the row per sum, every time
+        assert s._measure._parts[contsum._TABLE][4] == [None, None, None]
+
+    def test_path_switch_drops_the_rows(self, monkeypatch):
+        # a multi-term polynomial on generic widths: the split answers first,
+        # and the table takes over once the terms summed pay for it
+        reads = _counting_rows(monkeypatch)
+        pairs = [(0, 1 + F(k, 7) + F(1, 2 ** (k + 4))) for k in range(8)]
+        measure = ContinuousSum.from_pairs(pairs)._measure
+        direct = helpers.forced(ContinuousSum.from_pairs(pairs), contsum._DIRECT)._measure
+        poly = (((8, 1), (3, -2), (0, 5)), 3)
+        taken = []
+        for i in range(400):
+            taken.append(measure._choose(poly[0]))
+            before, start = reads[0], -F(i % 97, 13)
+            assert helpers.tau_sum(measure, start, poly) == helpers.tau_sum(direct, start, poly)
+            if taken[-1] != taken[0]:
+                break
+        assert taken[0] == contsum._SPLIT and taken[-1] == contsum._TABLE
+        assert set(measure._parts) == {contsum._TABLE}  # the split's folds went with it
+        assert reads[0] > before and _folded(measure, contsum._TABLE) == 1
+
+    def test_shared_table_across_threads(self):
+        # eight threads, more than the cores, share one model on the table
+        # path and fold its rows outside the lock, with a short switch interval
+        ms = [128, 256, 384] * 4
+        d = helpers.forced(DiscreteSum.from_half_ranges(ms), contsum._TABLE)
+        ps = list(range(-60, 60, 3))
+        reference = helpers.forced(DiscreteSum.from_half_ranges(ms), contsum._TABLE)
+        want = [reference.pmf_tau(p) for p in ps]
+        results = []
+
+        def worker(k):
+            got = {p: d.pmf_tau(p) for p in ps[k:] + ps[:k]}
+            results.append([got[p] for p in ps])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(5 * k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
 
 
 class TestClosedFormPair:
