@@ -39,8 +39,8 @@ The start of x is x - hi, and its mirror lo - x is the start of
 lo + hi - x.  So the sign-form density at x is the mean of the tau density
 at x and at lo + hi - x, and the vanishing alternating sum is
 T(x - hi) - T(lo - x) at e = n - 1.  The density is thus symmetric about
-the center and F(x) = 1 - F(lo + hi - x), so the batch piece table walks
-the knots only from lo to the center and mirrors the rest.
+the center and F(x) = 1 - F(lo + hi - x), so the batch piece table keeps
+the pieces from lo to the center only and reads a point past it mirrored.
 
 The measure factors as A (x) B for any split of the legs into two groups,
 and the sum runs over A only, against suffix moments of B (powers of B's
@@ -687,19 +687,19 @@ class ContinuousSum(_Value):
 
     def _row_sum(self, s: int, w: int, scale: int) -> tuple:
         """(V, mirrored) at (s, w, scale) of _start, from _rows: the CDF is V / (scale^n
-        norm), or 1 minus that if mirrored: a row right of the center is read at the
-        mirror start -s - w, by F(x) = 1 - F(lo + hi - x).  V is an integer."""
+        norm), or 1 minus that if mirrored: a point whose knot lies past the middle is
+        read at the mirror start -s - w, by F(x) = 1 - F(lo + hi - x).  V is an integer."""
         keys, rows = self._rows
         m = scale // self._measure.den
         pos = bisect_left(keys, -(s // m))  # keys from pos on have arguments >= 0
-        mirrored = pos < len(keys) and rows[pos] is None
+        mirrored = pos < len(keys) - len(rows)  # its knot, len(keys) - 1 - pos, is not kept
         if mirrored:
             s = -s - w
             pos = bisect_left(keys, -(s // m))
         if pos == len(keys):  # below lo, or past hi if mirrored
             return 0, mirrored
         t, v, power = s + m * keys[pos], 0, 1
-        for c in reversed(rows[pos]):  # sum_r c_r t^r m^(n - r)
+        for c in reversed(rows[len(keys) - 1 - pos]):  # sum_r c_r t^r m^(n - r)
             v = v * t + c * power
             power *= m
         return v, mirrored
@@ -779,21 +779,21 @@ class ContinuousSum(_Value):
     # -- vectorized float evaluation ---------------------------------------
     # The density is a piecewise polynomial of degree e = n - 1 and the CDF one
     # of degree e = n, with knots at hi - key / den for the keys of the
-    # vertex measure (a univariate box spline).  _pieces holds, at every
-    # knot, both Taylor expansions in the length unit _unit: of the piece to
-    # its right, and the top coefficient of the piece to its left.  They
-    # round, once each, the exact CDF rows that one integer pass from lo to
-    # the center keeps (_rows, which quantile reads too); past the center
-    # the mirror identity gives the same doubles up to sign, and the CDF's
-    # constant term one exact division per knot.  A point finds its piece by
-    # np.searchsorted and is evaluated by Horner about the nearer knot, at
-    # the offset z = (x - knot) / _unit, which carries the knot's rounding
-    # residual and so is exact up to its last rounding.  The error is then
-    # at most 4 (e + 1) 2^-53 sum_r |c_r z^r| (c_r the coefficients used),
-    # which _batch_bound(e) bounds over the whole table.  Results below 0
-    # (density) or outside [0, 1] (CDF) are clamped, which only shrinks the
-    # error.  The table holds 2 n + 3 coefficients per knot, under the
-    # capacity rule (errors.MEASURE_MAX).
+    # vertex measure (a univariate box spline).  _pieces holds, at each knot
+    # from lo to the center, both Taylor expansions in the length unit _unit:
+    # of the piece to its right, and the top coefficient of the piece to its
+    # left, each the exact CDF row of _rows (which quantile reads too) rounded
+    # once.  A point is evaluated by Horner about its nearest knot, found by
+    # np.searchsorted, at the offset z = (x - knot) / _unit, which carries the
+    # knot's rounding residual and so is exact up to its last rounding.  A
+    # point past the middle reads the mirrored knot's piece at -z, by the
+    # mirror identity: the density is that value, the CDF 1 minus it, so both
+    # are symmetric by construction.  The error is then at most 4 (e + 1)
+    # 2^-53 sum_r |c_r z^r| (c_r the coefficients used), and one rounding of
+    # the CDF's 1 minus, which _batch_bound(e) bounds over the table.  Results
+    # below 0 (density) or outside [0, 1] (CDF) are clamped, which only
+    # shrinks the error.  The table holds 2 n + 3 coefficients per kept knot,
+    # under the capacity rule (errors.MEASURE_MAX).
 
     @cached_property
     def _unit(self) -> Fraction:
@@ -805,37 +805,35 @@ class ContinuousSum(_Value):
 
     @cached_property
     def _rows(self) -> tuple:
-        """(keys, rows): rows[i] the exact CDF row of _knot_rows about the knot of keys[i]
-        for the ceil(K / 2) knots from lo to the center, None for the others; checked
-        against the capacity rule (errors.MEASURE_MAX) before anything is built."""
+        """(keys, rows): rows[i] the exact CDF row of _knot_rows about knot i, at
+        hi - keys[-1 - i] / den, for the ceil(K / 2) knots from lo to the center;
+        checked against the capacity rule (errors.MEASURE_MAX) before anything is built."""
         measure, n = self._measure, self.n
         measure._check(_bound(measure.steps) * (n + 2), "a piece table")
         keys, weights = measure.full
-        half = (len(keys) + 1) // 2
-        walked = list(islice(_knot_rows(keys, weights, n), half))
-        return keys, (None,) * (len(keys) - half) + tuple(reversed(walked))
+        return keys, tuple(islice(_knot_rows(keys, weights, n), (len(keys) + 1) // 2))
 
     @cached_property
     def _pieces(self) -> tuple:
-        """(knots, residuals, splits, {e: (columns, left tops)}) for e = n and n - 1.
+        """(knots, residuals, splits, mirror, units, {e: (columns, left tops)}) for e = n, n - 1.
 
-        knots are the knots rounded to doubles, ascending, residuals what
-        that rounding left off, and splits[i] a point between knots i and
-        i + 1 (inf for the last).  columns[r][i] is the coefficient of z^r
-        about knot i of the piece right of it, left tops[i] the top
-        coefficient of the piece left of it.  The first ceil(K / 2) of the K
-        knots, from lo, round the rows of _rows, which checks the capacity
-        rule (errors.MEASURE_MAX) first; the others mirror them: one numpy
-        gather and sign flip, and one exact division per knot for the CDF
-        constant.  Every knot keeps its own exact double and residual.
+        columns[r][j] is the coefficient of z^r about knot j of the piece right
+        of it, left tops[j] the top coefficient of the piece left of it, for the
+        h = ceil(K / 2) knots from lo, rounded from _rows.  knots are these and
+        their h mirror images (an odd K's middle knot twice) as doubles, and
+        residuals what rounding left off.  splits are their midpoints, one ulp
+        lower from the middle on: a point on one takes the knot nearer its own
+        end.  A point nearest knot i reads piece mirror[i] at its offset times
+        units[i]: i and 1 / _unit for i < h, 2 h - 1 - i and -1 / _unit else.
         """
         import numpy as np
 
         n, (keys, exact) = self.n, self._rows
         weights, den = self._measure.full[1], self._measure.den
         scale, shift, _ = self._origin
+        descending, half = keys[::-1], len(exact)
         knots, residuals = [], []
-        for k in reversed(keys):
+        for k in descending[:half] + descending[-half:]:
             num = shift - k * (scale // den)
             knot = num / scale
             p, q = knot.as_integer_ratio()
@@ -854,61 +852,59 @@ class ContinuousSum(_Value):
                    for r in range(1, n + 1)]
         plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
         plan = [(r, *Fraction(m, d).as_integer_ratio()) for r, m, d in plan]
-        half, rows = (len(keys) + 1) // 2, []
-        for c, w in islice(zip(reversed(exact), reversed(weights)), half):
+        rows = []
+        for c, w in zip(exact, reversed(weights)):
             ext = c + (c[n] - w,)  # the left top: the knot's weight taken off
             rows.append([ext[r] * m / d for r, m, d in plan])
-        # Knot i >= half mirrors j = K - 1 - i, as F(x) = 1 - F(lo + hi - x): its
-        # coefficient r >= 1 is (-1)^(r + 1) times j's left of the knot (c_j, with
-        # j's left top), its left top (-1)^(n + 1) times j's right top, and its
-        # constant den^n norm - c_j[0] over den^n norm.  Each rounds as j's did.
-        mirror = np.arange(len(keys) - half - 1, -1, -1)
-        flip = [p + (r == n) - (r > n) for p, (r, _, _) in enumerate(plan)]
-        sign = np.array([(-1.0) ** (min(r, n) + 1) for r, _, _ in plan])
-        table = np.array(rows)
-        right = table[np.ix_(mirror, flip)] * sign + 0.0  # -0.0 becomes 0.0, as 0 / d
-        total, (_, m, d) = (den ** n * norm).numerator, plan[0]
-        right[:, 0] = [(total - exact[-1 - j][0]) * m / d for j in mirror]
-        table = np.concatenate([table, right]).T.copy()
-        knots = np.array(knots)
-        splits = np.append(knots[:-1] + 0.5 * np.diff(knots), math.inf)
-        return knots, np.array(residuals), splits, {
+        table = np.array(rows).T.copy()
+        knots, order = np.array(knots), np.arange(half)
+        splits = knots[:-1] + 0.5 * np.diff(knots)
+        splits[half - 1:] = np.nextafter(splits[half - 1:], -math.inf)
+        units = np.repeat([float(1 / u), float(-1 / u)], half)
+        return knots, np.array(residuals), splits, np.concatenate([order, order[::-1]]), units, {
             n: (table[:n + 1], table[n + 1]),
             n - 1: (table[n + 2:2 * n + 2], table[2 * n + 2])}
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
-        """The piece table of exponent n (CDF) or n - 1 (density) at xs, clamped to the support."""
+        """The piece table of exponent n (CDF) or n - 1 (density) at xs, clamped to the
+        support: a point past the middle reads its mirror's piece, and the CDF 1 minus it."""
         import numpy as np
 
-        knots, residuals, splits, tables = self._pieces
+        knots, residuals, splits, mirror, units, tables = self._pieces
         columns, left = tables[exponent]
         x = np.clip(np.atleast_1d(xs).ravel(), knots[0], knots[-1])
-        i = np.searchsorted(knots, x, side="right") - 1
-        i += x > splits[i]
+        i = np.searchsorted(splits, x)  # the nearest knot
         t = knots[i]
         d = x - t
         b = d - x  # (x - (d - b)) - (t + b) is what x - t lost to rounding
-        z = (d + ((x - (d - b)) - (t + b) - residuals[i])) * float(1 / self._unit)
-        right = columns[-1][i]
-        top = np.where(z > 0, right, left[i])
+        z = (d + ((x - (d - b)) - (t + b) - residuals[i])) * units[i]
+        j = mirror[i]
+        right = columns[-1][j]
+        top = np.where(z > 0, right, left[j])
         if exponent == 0:  # tau(0) = 1/2 at a jump
-            top = np.where(z == 0, 0.5 * (right + left[i]), top)
+            top = np.where(z == 0, 0.5 * (right + left[j]), top)
         acc = top
         for column in columns[-2::-1]:
-            acc = acc * z + column[i]
+            acc = acc * z + column[j]
+        if exponent == self.n:  # F(x) = 1 - F(lo + hi - x) past the middle
+            np.subtract(1.0, acc, out=acc, where=i >= len(left))
         return acc.reshape(np.shape(xs))
 
     def _batch_bound(self, exponent: int) -> float:
         """The stated error bound of _batch at exponent e = n or n - 1: 4 (e + 1)
-        2^-53 times the table maximum, the largest sum_r |c_r| |z|^r over the
-        table with |z| half a piece.  Computed on each call, from _pieces."""
+        2^-53 times the table maximum M, the largest sum_r |c_r| |z|^r over the
+        kept pieces with |z| half a piece, as a mirrored point's is.  Rounding
+        the coefficients and z and Horner's 2 e steps take at most
+        (3 e + 1) 2^-53 M; a CDF point past the middle rounds 1 - acc in [0, 1]
+        once more, by at most 2^-53 <= (e + 3) 2^-53 M, as M >= F(center) = 1/2.
+        Computed on each call, from _pieces."""
         import numpy as np
 
-        knots, _, _, tables = self._pieces
+        knots, _, _, _, _, tables = self._pieces
         columns, left = tables[exponent]
-        half = np.diff(knots) / 2 / float(self._unit)
+        half = np.diff(knots)[:len(left)] / 2 / float(self._unit)
         sums = []
-        for top, h in ((columns[-1], np.append(half, 0.0)), (left, np.insert(half, 0, 0.0))):
+        for top, h in ((columns[-1], half), (left, np.insert(half, 0, 0.0)[:-1])):
             acc = np.abs(top)
             for column in columns[-2::-1]:
                 acc = acc * h + np.abs(column)

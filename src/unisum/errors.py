@@ -24,11 +24,12 @@
 #   from 21 generic widths on (2**20 generic entries take about 2.5 s and
 #   230 MB of peak RSS).
 # * The batch paths build the whole measure and a piece table, the Taylor
-#   coefficients of the CDF and density about each key, and keep the exact
-#   CDF rows they round, ceil(K / 2) * (n + 1) integers, for quantile: the
-#   bound times (n + 2) must fit, which admits 15 generic widths and refuses
-#   16 (2**16 * 18 entries).  At 15, both batch paths on 3,000 points take
-#   about 1.1 s and 107 MB of peak RSS (84 MB before the rows were kept).
+#   coefficients of the CDF and density about the ceil(K / 2) keys from lo
+#   to the center, and keep the exact CDF rows they round,
+#   ceil(K / 2) * (n + 1) integers, for quantile: the bound times (n + 2)
+#   must fit, which admits 15 generic widths and refuses 16 (2**16 * 18
+#   entries).  At 15, both batch paths on 3,000 points take about 1.4 s and
+#   90 MB of peak RSS (1.5 s and 108 MB while the table held every key).
 # * support, moments and sampling never build the measure and work at any n.
 # Timings on CPython 3.11, a 2-core x86-64 machine.
 MEASURE_MAX = 2 ** 20

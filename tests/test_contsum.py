@@ -861,21 +861,22 @@ def _generic_shifted(seed, n):
                                      for _ in range(n)])
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 def _assert_table_rounded_once(s):
-    """Every entry of the piece table is float() of its exact coefficient, bit
-    for bit, derived here from the moments of the measure about each knot
-    hi - k / den: right of it the CDF is sum over keys k_t >= k of
-    w_t (unit z + (k_t - k) / den)^n over its norm, and the density its
-    derivative in x."""
-    knots, _, _, tables = s._pieces
+    """The piece table holds the ceil(K / 2) knots from lo, and every entry is
+    float() of its exact coefficient, bit for bit, derived here from the moments
+    of the measure about each knot hi - k / den: right of it the CDF is sum over
+    keys k_t >= k of w_t (unit z + (k_t - k) / den)^n over its norm, and the
+    density its derivative in x."""
+    tables = s._pieces[-1]
     keys, weights = s._measure.full
     n, den, u, norm = s.n, s._measure.den, s._unit, s._polys[s.n][1]
-
-    def bits(values):
-        return [float(v).hex() for v in values]
-
+    half = (len(keys) + 1) // 2
     moments = [0] * (n + 1)
-    for i, (k, w) in enumerate(zip(reversed(keys), reversed(weights))):
+    for i, k, w in zip(range(half), reversed(keys), reversed(weights)):
         moments = [acc + w * k ** j for j, acc in enumerate(moments)]
         about = [sum(math.comb(p, j) * (-k) ** (p - j) * moments[j] for j in range(p + 1))
                  for p in range(n + 1)]  # sum over k_t >= k of w_t (k_t - k)^p
@@ -883,13 +884,14 @@ def _assert_table_rounded_once(s):
                for r in range(n + 1)]
         left = u ** n * (about[0] - w) / norm  # the top coefficient left of the knot
         columns, top = tables[n]
-        assert bits(column[i] for column in columns) == bits(cdf), i
-        assert bits([top[i]]) == bits([left]), i
+        assert _bits(column[i] for column in columns) == _bits(cdf), i
+        assert _bits([top[i]]) == _bits([left]), i
         columns, top = tables[n - 1]
-        assert bits(column[i] for column in columns) == bits(r * c / u
-                                                             for r, c in enumerate(cdf) if r), i
-        assert bits([top[i]]) == bits([n * left / u]), i
-    assert i + 1 == len(knots)
+        assert _bits(column[i] for column in columns) == _bits(r * c / u
+                                                               for r, c in enumerate(cdf) if r), i
+        assert _bits([top[i]]) == _bits([n * left / u]), i
+    for e, (columns, top) in tables.items():
+        assert np.shape(columns) == (e + 1, half) and len(top) == half
 
 
 class TestBatch:
@@ -926,14 +928,14 @@ class TestBatch:
     @given(_piece_models)
     @settings(max_examples=60, deadline=None)
     def test_table_rounded_once_drawn(self, s):
-        # both halves: the right one is mirrored, the middle knot of an odd
-        # count is its own mirror, and n = 1 has jumps at both ends
+        # the kept half: the middle knot of an odd count is its own mirror,
+        # and n = 1 has jumps at both ends
         _assert_table_rounded_once(s)
 
     @pytest.mark.parametrize("s", [UNIT_BOX, TRIANGLE, TWO_MIXED, _eighths(9, 9),
                                    _generic_shifted(9, 9)])
     def test_half_the_knots(self, s, monkeypatch):
-        # the build walks the knots from lo to the middle; the rest are mirrored
+        # the build walks and keeps the knots from lo to the middle only
         real, taken = contsum._knot_rows, []
 
         def counted(*args):
@@ -942,8 +944,39 @@ class TestBatch:
                 yield row
 
         monkeypatch.setattr(contsum, "_knot_rows", counted)
-        knots = ContinuousSum(s.components)._pieces[0]  # a copy builds anew
-        assert len(taken) == (len(knots) + 1) // 2
+        tables = ContinuousSum(s.components)._pieces[-1]  # a copy builds anew
+        assert len(taken) == (len(s.breakpoints()) + 1) // 2
+        assert all(np.shape(columns) == (e + 1, len(taken)) for e, (columns, _) in tables.items())
+
+    @pytest.mark.parametrize("pairs", [[(0, 1)] * 8, [(0, 1)] * 20, [(0, 1)] * 40,
+                                       [(0, 1), (0, 2), (0, 3)]],
+                             ids=["8-identical", "20-identical", "40-identical", "widths-1-2-3"])
+    def test_symmetric_by_construction(self, pairs):
+        # knots that are doubles, symmetric about 0: a point past the middle
+        # reads its mirror's piece, so x and -x give the same doubles
+        s = ContinuousSum.from_pairs(pairs)
+        knots = np.array(s.breakpoints(), dtype=float)
+        grid = np.linspace(0, knots[-1], 401)
+        xs = np.concatenate([-grid[::-1], grid, knots, (knots[:-1] + knots[1:]) / 2])
+        assert _bits(s.density_batch(xs)) == _bits(s.density_batch(-xs))
+        past = xs > 0
+        assert _bits(s.cdf_batch(xs[past])) == _bits(1 - s.cdf_batch(-xs[past]))
+
+    def test_both_tails_of_forty(self):
+        # x = 39 is the midpoint of the knots 38 and 40; it takes 40, nearer its own
+        # end, as -39 takes -40, and both read the piece about -40
+        s = ContinuousSum.from_pairs([(0, 1)] * 40)
+        exact = 4.458770269151085e-59
+        assert float(s.density_tau(39).value) == exact
+        assert np.all(np.abs(s.density_batch([-39.0, 39.0]) - exact) <= 1e-12 * exact)
+
+    def test_non_finite_points(self):
+        xs = np.array([0.5, np.nan, -np.inf, np.inf, -1.0])
+        for batch, below, above in ((TWO_MIXED.density_batch, 0.0, 0.0),
+                                    (TWO_MIXED.cdf_batch, 0.0, 1.0)):
+            out = batch(xs)
+            assert np.isnan(out[1]) and (out[2], out[3]) == (below, above)
+            assert list(out[[0, 4]]) == list(batch(xs[[0, 4]]))
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_many_identical(self, n):
