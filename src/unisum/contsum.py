@@ -61,11 +61,12 @@ that one bisection per entry of A locates.  Three splits are used:
   widths (widths on a 1/8 grid leave far fewer than 2^n entries).
 
 The choice counts terms (an entry built, a moment, one term of a point)
-from sizes known before anything is built, the bounds on the entries of A
-and B and the top exponent, and from the terms each model has summed so
-far.  The first point takes the split that answers it cheapest, build
-included; a split with cheaper points takes over once the terms summed
-cover its build (rent or buy).  No count of future points is assumed.
+from a table each model makes once from its legs, before anything is built
+(VertexMeasure._plans), and from the terms it has summed so far.  The first
+point takes the split that answers it cheapest, build included; later, of
+the splits whose remaining build the terms summed cover, the one with the
+cheapest point answers, the current one on ties (rent or buy).  No count
+of future points is assumed.
 
 The point path.  Exact mode, the reference, computes in rationals; float
 mode rounds the exact value at the double nearest to x once (EvalResult).
@@ -279,7 +280,6 @@ def _result(exact: Fraction, mode: EvalMode) -> EvalResult:
 _DIRECT = "direct"
 _TABLE = "table"
 _SPLIT = "split"
-_PATHS = (_DIRECT, _TABLE, _SPLIT)
 
 
 def _bound(steps: Counter) -> int:
@@ -371,7 +371,8 @@ class VertexMeasure:
         sum_a w_a sum_e c_e sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
 
     where S^B_j[i] = sum over t >= i of w_t k_t^j are B's suffix moments, up
-    to top, and pos(a) is one bisection of B's keys; _choose picks the split.
+    to top, and pos(a) is one bisection of B's keys.  _plans tabulates the three
+    splits once, and _choose picks one by it.
 
     Instances are built lazily and cache what they build.  The choice of a
     path, its build and the count of terms summed share one lock, so threads
@@ -401,41 +402,32 @@ class VertexMeasure:
     def full(self) -> tuple:
         """(keys, weights) of the whole merged measure, for breakpoints and the
         batch paths; checked against the capacity rule (errors.MEASURE_MAX) first."""
-        self._check(_bound(self.steps), "a vertex measure")
+        self._check(self._plans[_DIRECT][2], "a vertex measure")
         return _vertex_measure(self.steps)
 
     @cached_property
-    def _halves(self) -> tuple:
-        """The distinct legs in two groups whose bounds balance, smaller bound first:
-        the most repeated steps first, each into the group of smaller bound so far."""
-        groups = (Counter(), Counter())
-        for step, mult in sorted(self.steps.items(), key=lambda sm: (-sm[1], sm[0])):
-            groups[_bound(groups[1]) < _bound(groups[0])][step] = mult
-        return tuple(sorted(groups, key=_bound))
-
-    def _split(self, path: str) -> tuple:
-        if path == _DIRECT:
-            return self.steps, Counter()
-        if path == _TABLE:
-            return Counter(), self.steps
-        return self._halves
-
-    def _built(self, path: str) -> int:
-        """Entries a path counts under the capacity rule stated above errors.MEASURE_MAX."""
-        size_a, size_b = map(_bound, self._split(path))
-        if path == _DIRECT:
-            return size_a * (self.top + 1)
-        return size_a + size_b * (self.top + 2)
-
-    @cached_property
     def _plans(self) -> dict:
-        """path -> (bound of A, bound of B) for each path that the capacity rule
-        stated above errors.MEASURE_MAX admits; CapacityError if it admits none."""
-        plans = {path: tuple(map(_bound, self._split(path))) for path in _PATHS
-                 if self._built(path) <= MEASURE_MAX}
-        if not plans:
-            self._check(min(map(self._built, _PATHS)), "a vertex sum")
-        return plans
+        """path -> (A's steps, B's steps, A's bound, entries counted under the capacity
+        rule stated above errors.MEASURE_MAX) of every path, from the steps alone; on
+        the table and the split, the entries are also the terms of their build.  The
+        split takes the most repeated steps first, each into the group of smaller bound
+        so far; A is the group of smaller bound."""
+        whole, top = _bound(self.steps), self.top
+        groups = [[Counter(), 1], [Counter(), 1]]  # (steps, bound) as each grows
+        for step, mult in sorted(self.steps.items(), key=lambda sm: (-sm[1], sm[0])):
+            group = groups[groups[1][1] < groups[0][1]]
+            group[0][step] = mult
+            group[1] = _bound(group[0])
+        (a, size_a), (b, size_b) = sorted(groups, key=lambda g: g[1])
+        return {_DIRECT: (self.steps, Counter(), whole, whole * (top + 1)),
+                _TABLE: (Counter(), self.steps, 1, 1 + whole * (top + 2)),
+                _SPLIT: (a, b, size_a, size_a + size_b * (top + 2))}
+
+    def _admitted(self) -> list:
+        """The paths the capacity rule admits; CapacityError, naming the least count, if none."""
+        entries = {path: plan[3] for path, plan in self._plans.items()}
+        self._check(min(entries.values()), "a vertex sum")
+        return [path for path, size in entries.items() if size <= MEASURE_MAX]
 
     def _costs(self, path: str, exponents: tuple = ()) -> tuple:
         """(terms still to build, terms of one point) of a path that fits.
@@ -445,58 +437,53 @@ class VertexMeasure:
         term.  What is cached is free: a built path, and the whole measure
         once breakpoints() or a batch path has made it.
         """
-        size_a, size_b = self._plans[path]
+        _, _, size_a, build = self._plans[path]
         whole = self.__dict__.get("full")
-        if whole and path == _DIRECT:
-            size_a = len(whole[0])
-        if whole and path == _TABLE:
-            size_b = len(whole[0])
+        if path == _DIRECT:  # the whole measure is all it builds
+            size_a, build = (len(whole[0]), 0) if whole else (size_a, size_a)
+        elif path == _TABLE and whole:  # A's one entry and the moments of the cached B
+            build = 1 + len(whole[0]) * (self.top + 1)
         point = size_a * _terms(path == _DIRECT, exponents or (self.top,))
-        if path in self._parts:
-            return 0, point
-        if path == _DIRECT:
-            return (0 if whole else size_a), point
-        measures = size_b if path == _TABLE and whole else size_a + size_b
-        return measures + size_b * (self.top + 1), point
+        return (0 if path in self._parts else build), point
 
     def _choose(self, terms: tuple = ()) -> str:
         """The path the next sum of a polynomial with these terms takes (by
         default the top monomial); CapacityError if none fits.
 
-        The first sum takes the path that answers one point cheapest, build
-        included.  Later sums switch to a path with cheaper points as soon
-        as the terms summed so far cover what it still has to build: the
-        rent-or-buy rule, which with one cheaper path spends at most about
-        twice what the better of the two would have for the same points,
-        however many follow.  The abandoned path's parts are freed.
+        Rent or buy over the admitted paths: the first sum takes the cheapest
+        point plus build; a later one, of the paths whose remaining build the
+        terms summed cover (the current one, built, among them), the cheapest
+        point, the current one on ties, and frees the parts of the one it
+        leaves.  With one cheaper path this spends at most about twice what
+        the better of the two would have, however many points follow.  _due
+        defers the next look to the least build of a path with a cheaper point.
         """
         if self._spent < self._due:
             return self._path
         exponents = tuple(e for e, _ in terms)
-        costs = {path: self._costs(path, exponents) for path in self._plans}
-        path = self._path
-        if path is None:
+        costs = {path: self._costs(path, exponents) for path in self._admitted()}
+        current = self._path
+        if current is None:
             path = min(costs, key=lambda p: sum(costs[p]))
-        cheaper = [p for p in costs if costs[p][1] < costs[path][1]]
-        paid = [p for p in cheaper if costs[p][0] <= self._spent]
-        if paid:
-            path = min(paid, key=lambda p: costs[p][1])
-            cheaper = [p for p in cheaper if costs[p][1] < costs[path][1]]
-        if self._path is not None and path != self._path:
-            self._parts.pop(self._path, None)
+        else:
+            path = min((p for p, (build, _) in costs.items() if build <= self._spent),
+                       key=lambda p: (costs[p][1], p != current))
+            if path != current:
+                self._parts.pop(current, None)
         self._path = path
-        self._due = min((costs[p][0] for p in cheaper), default=math.inf)
+        self._due = min((build for build, point in costs.values() if point < costs[path][1]),
+                        default=math.inf)
         return path
 
     def _build(self, path: str) -> tuple:
         """(A's keys, A's weights, B's keys, B's suffix moments or None) of a path."""
         parts = self._parts.get(path)
         if parts is None:
-            a, b = self._split(path)
+            a, b, _, entries = self._plans[path]
             if not b:
                 parts = (*self.full, None, None, None)
             else:
-                self._check(self._built(path), "a vertex measure and moment table")
+                self._check(entries, "a vertex measure and moment table")
                 a_keys, a_weights = _vertex_measure(a)
                 b_keys, b_weights = self.full if not a else _vertex_measure(b)
                 parts = (a_keys, a_weights, b_keys,
@@ -504,7 +491,7 @@ class VertexMeasure:
             self._parts[path] = parts
         return parts
 
-    def sum(self, s: int, scale: int, poly: tuple, path: str | None = None) -> Fraction:
+    def sum(self, s: int, scale: int, poly: tuple) -> Fraction:
         """sum over the measure of w * g_+(s / scale + key / den), over a divisor, exactly.
 
         Every density, CDF and PMF point is this one call (the point path of
@@ -516,12 +503,11 @@ class VertexMeasure:
         arguments ascend with the keys, so bisection locates the zero ones.
         A g of several terms is folded into each row of B the first time a
         point reads it, and kept for one g at one scale (folds); a monomial is not.
-        path forces _DIRECT, _TABLE or _SPLIT; by default _choose does.
         """
         terms, divisor = poly
         m = scale // self.den
         with self._lock:
-            a_keys, a_weights, b_keys, rows, kept = self._build(path or self._choose(terms))
+            a_keys, a_weights, b_keys, rows, kept = self._build(self._choose(terms))
             if kept and len(terms) > 1 and kept[:2] != [terms, scale]:
                 kept[:] = terms, scale, [None] * len(rows)  # one polynomial at one scale
             folds = kept[2] if kept and len(terms) > 1 else None
@@ -809,7 +795,7 @@ class ContinuousSum(_Value):
         hi - keys[-1 - i] / den, for the ceil(K / 2) knots from lo to the center;
         checked against the capacity rule (errors.MEASURE_MAX) before anything is built."""
         measure, n = self._measure, self.n
-        measure._check(_bound(measure.steps) * (n + 2), "a piece table")
+        measure._check(measure._plans[_DIRECT][2] * (n + 2), "a piece table")
         keys, weights = measure.full
         return keys, tuple(islice(_knot_rows(keys, weights, n), (len(keys) + 1) // 2))
 

@@ -167,7 +167,7 @@ class DiscreteSum(_Value):
         y^(n-1) down, and the divisor (n - 1)! 2^(n - 1) / (G M).  The O(n^2)
         expansion runs only once the capacity rule has admitted the model."""
         n = self.n
-        self._measure._plans  # the capacity check: CapacityError before the expansion
+        self._measure._admitted()  # the capacity check: CapacityError before the expansion
         coefs = [1]  # of y^0, y^2, ... in the product over r
         for r in range(n - 2, 0, -2):
             coefs = [a - r * r * b for a, b in zip([0] + coefs, coefs + [0])]

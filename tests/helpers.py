@@ -121,11 +121,11 @@ def forced(model, path):
     return copy
 
 
-def tau_sum(measure, start, poly, path=None) -> Fraction:
+def tau_sum(measure, start, poly) -> Fraction:
     """measure.sum at a rational start, as an integer over the least scale den divides."""
     start = Fraction(start)
     scale = math.lcm(measure.den, start.denominator)
-    return measure.sum(start.numerator * (scale // start.denominator), scale, poly, path)
+    return measure.sum(start.numerator * (scale // start.denominator), scale, poly)
 
 
 # brute-force vertex enumeration ---------------------------------------------

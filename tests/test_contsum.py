@@ -520,7 +520,7 @@ class TestBruteForceReference:
         avec = [F(a) for _, a in pairs]
         for x in (on_kink, off_kink):
             for e in (0, n - 1, n):
-                assert_mirror_identities(s._measure, x - hi, e, x - centre, avec)
+                assert_mirror_identities(s, x - hi, e, x - centre, avec)
         # a sparse polynomial with a constant term, which alone meets the zero
         # arguments of on_kink with half its weight, summed at once
         terms = data.draw(st.dictionaries(st.integers(1, n), st.integers(-9, 9).filter(bool),
@@ -533,7 +533,8 @@ class TestBruteForceReference:
             want = sum(c * helpers.brute_vertex_sum(x - centre, avec, r, "tau")
                        for r, c in terms.items()) / divisor
             for path in PATHS:
-                assert helpers.tau_sum(s._measure, x - hi, poly, path) == want, (path, x, poly)
+                measure = helpers.forced(s, path)._measure
+                assert helpers.tau_sum(measure, x - hi, poly) == want, (path, x, poly)
 
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
@@ -554,30 +555,33 @@ class TestBruteForceReference:
         assert d.pmf_tau(p) == pmf
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
         counts = [2 * m + 1 for m in ms]
-        for path in PATHS:  # the Laurent polynomial of the PMF, n odd or even
-            assert d._measure.sum(2 * p - sum(counts), 1, d._laurent, path) == pmf, (path, p)
+        measures = {path: helpers.forced(d, path)._measure for path in PATHS}
+        for path, measure in measures.items():  # the PMF's polynomial, n odd or even
+            assert measure.sum(2 * p - sum(counts), 1, d._laurent) == pmf, (path, p)
         for e in range(len(ms) - 1, -1, -2):
             want = helpers.brute_vertex_sum(2 * p, counts, e, "tau")
-            for path in PATHS:
-                assert d._measure.sum(2 * p - sum(counts), 1, helpers.monomial(e), path) \
+            for path, measure in measures.items():
+                assert measure.sum(2 * p - sum(counts), 1, helpers.monomial(e)) \
                     == want, (path, e, p)
-        # the raw sum at e = n is not zero, so the measure needs one more exponent
-        measure = contsum.VertexMeasure([2 * c for c in counts], len(ms))
+        # the raw sum at e = n is not zero, so the measure needs one more exponent:
+        # the continuous model of half-widths 2 m_j + 1 has the legs and top n
+        model = ContinuousSum.from_pairs([(0, c) for c in counts])
         for e in (0, len(ms) - 1, len(ms)):
-            assert_mirror_identities(measure, 2 * p - sum(counts), e, 2 * p, counts)
+            assert_mirror_identities(model, 2 * p - sum(counts), e, 2 * p, counts)
 
 
-def assert_mirror_identities(measure, start, e, shift, half_widths):
-    """On every forced path: the tau sum T(start), and T(start) +/-
+def assert_mirror_identities(model, start, e, shift, half_widths):
+    """On every path forced on model: the tau sum T(start), and T(start) +/-
     (-1)^(e+n) T(-start - K), K the sum of the legs, equal the brute-force
     tau, raw and sign sums of helpers.brute_vertex_sum(shift, half_widths)."""
-    mirror = -start - F(sum(measure.steps.elements()), measure.den)
-    sign = (-1) ** (e + measure.n)
+    mirror = -start - F(sum(model._measure.steps.elements()), model._measure.den)
+    sign = (-1) ** (e + model.n)
     want = {form: helpers.brute_vertex_sum(shift, half_widths, e, form)
             for form in ("tau", "raw", "sign")}
     for path in PATHS:
-        at = helpers.tau_sum(measure, start, helpers.monomial(e), path)
-        across = helpers.tau_sum(measure, mirror, helpers.monomial(e), path)
+        measure = helpers.forced(model, path)._measure
+        at = helpers.tau_sum(measure, start, helpers.monomial(e))
+        across = helpers.tau_sum(measure, mirror, helpers.monomial(e))
         assert at == want["tau"], (path, e, start)
         assert at + sign * across == want["raw"], (path, e, start)
         assert at - sign * across == want["sign"], (path, e, start)
@@ -620,6 +624,7 @@ class TestVertexPaths:
         # so far cover its build, and the path it replaces is freed; the
         # values stay
         measure = ContinuousSum(model.components)._measure
+        reference = helpers.forced(model, first)._measure
         build = measure._costs(last)[0]
         lo, hi = model.support()
         taken, spent = [], []
@@ -629,7 +634,7 @@ class TestVertexPaths:
             taken.append(measure._choose())
             poly = helpers.monomial(model.n)
             assert helpers.tau_sum(measure, start, poly) == \
-                helpers.tau_sum(model._measure, start, poly, first)
+                helpers.tau_sum(reference, start, poly)
         assert taken[0] == first and taken[-1] == last
         assert taken == sorted(taken, key=taken.index)  # no path returns
         assert set(measure._parts) == {last}
@@ -645,6 +650,78 @@ class TestVertexPaths:
         s = ContinuousSum(s.components)
         s.breakpoints()
         assert s._measure._choose() == contsum._DIRECT
+
+    def test_cached_measure_leaves_the_table_its_moments(self):
+        # once breakpoints() has built the whole measure of K keys, the table
+        # has A's one entry and K rows of top + 1 moments still to build
+        s = ContinuousSum.from_pairs([(0, F(w, 8)) for w in (1, 2, 3, 5, 7, 11)])
+        s.breakpoints()
+        keys = len(s._measure.full[0])
+        assert (keys, s._measure.top) == (20, 6)
+        assert s._measure._costs(contsum._TABLE)[0] == 1 + keys * (6 + 1) == 141
+
+    def test_sizes_are_taken_once(self, monkeypatch):
+        # every bound is taken when the plan table is made: a first exact cdf
+        # takes a few, and a second one on the same model none
+        calls = []
+        bound = contsum._bound
+        monkeypatch.setattr(contsum, "_bound", lambda steps: calls.append(1) or bound(steps))
+        s = _generic_model(5, 12)
+        s.cdf(F(1, 3))
+        assert 0 < len(calls) <= 18
+        first = len(calls)
+        s.cdf(F(1, 2))
+        assert len(calls) == first
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rule_after_every_sum(self, data):
+        # the rule of _choose, checked around every sum of drawn points: the
+        # path is admitted and the only one built; the first sum takes the
+        # cheapest point plus build; a switch goes only to a strictly cheaper
+        # point whose remaining build the terms spent covered, so an equal
+        # cost never replaces the current path; and once the terms spent reach
+        # _due, the path has the cheapest point of those covered
+        kind = data.draw(st.sampled_from(["generic", "grid", "identical", "discrete"]),
+                         label="kind")
+        n = data.draw(st.integers(1, 40 if kind == "identical" else 10), label="n")
+        if kind == "discrete":
+            ms = st.sampled_from([0, 1, 2, 5, 128, 256, 384])
+            model = DiscreteSum.from_half_ranges(
+                data.draw(st.lists(ms, min_size=n, max_size=n), label="ms"))
+            exponents = tuple(e for e, _ in model._laurent[0])
+            points = st.integers(-model.span - 1, model.span + 1).map(
+                lambda p: (p, "pmf_tau", exponents))
+        else:
+            width = {"generic": helpers.generic_widths, "grid": helpers.widths,
+                     "identical": st.just(F(3, 8))}[kind]
+            widths = data.draw(st.lists(width, min_size=n, max_size=n), label="widths")
+            model = ContinuousSum.from_pairs([(0, a) for a in widths])
+            if data.draw(st.booleans(), label="breakpoints first"):
+                model.breakpoints()
+            lo, hi = model.support()
+            points = st.tuples(st.fractions(-F(1, 8), F(9, 8), max_denominator=64),
+                               st.sampled_from([("cdf", n), ("density_tau", n - 1)])).map(
+                lambda t: (lo + (hi - lo) * t[0], t[1][0], t[1][1:]))
+        measure = model._measure
+        for x, op, exponents in data.draw(st.lists(points, min_size=1, max_size=120),
+                                          label="points"):
+            admitted = measure._admitted()
+            costs = {p: measure._costs(p, exponents) for p in admitted}
+            path, spent, due = measure._path, measure._spent, measure._due
+            getattr(model, op)(x)
+            if measure._spent == spent:  # off the support: no sum
+                continue
+            new = measure._path
+            assert new in admitted and set(measure._parts) == {new}
+            if path is None:
+                assert new == min(costs, key=lambda p: sum(costs[p]))
+                continue
+            if new != path:
+                assert costs[new][1] < costs[path][1] and costs[new][0] <= spent
+            if spent >= due:
+                covered = [p for p in costs if costs[p][0] <= spent]
+                assert costs[new][1] == min(costs[p][1] for p in covered)
 
     def test_shared_across_threads(self):
         # more threads than cores, with a short switch interval: a lost

@@ -242,7 +242,7 @@ class TestFold:
         for path in helpers.PATHS:
             model = helpers.forced(d, path)
             for p, s in start.items():
-                at_p = model._measure.sum(s, 1, model._laurent, path)
+                at_p = model._measure.sum(s, 1, model._laurent)
                 assert model.pmf_tau(p) == model.pmf_tau(-p) == at_p, (path, p)
                 assert oracle is None or at_p == oracle.get(p, 0), (path, p)
 
