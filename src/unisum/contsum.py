@@ -68,10 +68,14 @@ the splits whose remaining build the terms summed cover, the one with the
 cheapest point answers, the current one on ties (rent or buy).  No count
 of future points is assumed.
 
-The point path.  Exact mode, the reference, computes in rationals; float
-mode rounds the exact value at the double nearest to x once (EvalResult).
-A point x = num / d is one integer pass: x - hi and hi - lo are integers s
-and w over scale = lcm(d, h), h the lcm of den and hi's denominator
+The point path.  A model's exact constants are integers over one common
+denominator D, the lcm of its centers' and half-widths' denominators
+(ContinuousSum._frame): hi D, (hi - lo) D and the legs 2 a_j D, which the
+measure reduces by one gcd to its steps over den.  Exact mode, the
+reference, computes in rationals; float mode rounds the exact value at the
+double nearest to x once (EvalResult).  A point x = num / d is one integer
+pass: x - hi and hi - lo are integers s and w over scale = lcm(d, h), h
+the lcm of den and hi's reduced denominator, a divisor of D
 (ContinuousSum._start); s > 0 lies past the support, s + w < 0 below it,
 and -s - w is the mirrored start.  VertexMeasure.sum takes the polynomial
 at that scale from a plan cached by value (_plan), makes one integer pass
@@ -118,10 +122,9 @@ __all__ = [
 def _as_fraction(value, what: str) -> Fraction:
     """Convert to an exact rational; reject anything non-finite."""
     try:
-        f = Fraction(value)
+        return Fraction(*value.as_integer_ratio()) if isinstance(value, float) else Fraction(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ModeError(f"{what} is not a finite rational number: {value!r}") from exc
-    return f
 
 
 def _whole(value, what: str, least: int) -> int:
@@ -180,7 +183,7 @@ class ContinuousComponent(_Value):
     def __init__(self, center, half_width):
         object.__setattr__(self, "center", _as_fraction(center, "center"))
         object.__setattr__(self, "half_width", _as_fraction(half_width, "half_width"))
-        if self.half_width <= 0:
+        if self.half_width.numerator <= 0:
             raise ValueError(
                 f"half_width must be > 0, got {self.half_width} "
                 "(model a constant by shifting the center of another component)"
@@ -282,7 +285,7 @@ _TABLE = "table"
 _SPLIT = "split"
 
 
-def _bound(steps: Counter) -> int:
+def _bound(steps: dict) -> int:
     """An upper bound on the entries of prod over steps s of (z^s - 1)^mult.
 
     min(prod over distinct steps of (multiplicity + 1), sum of steps + 1),
@@ -292,29 +295,35 @@ def _bound(steps: Counter) -> int:
                sum(s * m for s, m in steps.items()) + 1)
 
 
-def _vertex_measure(steps: Counter) -> tuple:
+def _vertex_measure(steps: dict) -> tuple:
     """The coefficients of prod over steps s of (z^s - 1)^mult, as (keys, weights).
 
     keys are the sorted exponents with nonzero coefficient, weights the
     matching integers: key k stands for every flag vector whose set legs sum
-    to k, weighted by (-1)^(flags not set).  Each distinct step enters as
-    its binomial expansion sum_k (-1)^(mult - k) C(mult, k) z^(k s), and the
-    distinct steps are merged one after the other, so n identical legs cost
-    n + 1 binomials rather than n passes.  Every intermediate dict holds at
-    most _bound(steps) entries; the callers check that bound first.
+    to k, weighted by (-1)^(flags not set).  The distinct steps multiply the
+    product P so far one after the other: a single one as z^s P - P, a
+    repeated one as its binomial expansion sum_k (-1)^(mult - k) C(mult, k)
+    z^(k s), so n identical legs cost n + 1 binomials rather than n passes.
+    Cancelled keys are dropped at the end.  Every intermediate dict holds at
+    most _bound(steps) keys, all subset sums; the callers check that bound first.
     """
     weight = {0: 1}
     for step, mult in steps.items():
-        factor, c = [], (-1) ** mult
-        for k in range(mult + 1):
-            factor.append((k * step, c))
-            c = -c * (mult - k) // (k + 1)
-        merged = {}
-        for key, w in weight.items():
-            for shift, binom in factor:
-                merged[key + shift] = merged.get(key + shift, 0) + w * binom
-        weight = {k: w for k, w in merged.items() if w}
-    keys = tuple(sorted(weight))
+        if mult == 1:  # -P, then z^s P added in the same dict
+            merged = {key: -w for key, w in weight.items()}
+            for key, w in weight.items():
+                merged[key + step] = merged.get(key + step, 0) + w
+        else:
+            factor, c = [], (-1) ** mult
+            for k in range(mult + 1):
+                factor.append((k * step, c))
+                c = -c * (mult - k) // (k + 1)
+            merged = {}
+            for key, w in weight.items():
+                for shift, binom in factor:
+                    merged[key + shift] = merged.get(key + shift, 0) + w * binom
+        weight = merged
+    keys = tuple(sorted(k for k, w in weight.items() if w))
     return keys, tuple(weight[k] for k in keys)
 
 
@@ -360,13 +369,13 @@ def _knot_rows(keys: tuple, weights: tuple, e: int):
 
 
 class VertexMeasure:
-    """The merged signed vertex measure prod_j (z^legs[j] - 1) of one model.
+    """The merged signed vertex measure prod_j (z^steps[j] - 1) of one model.
 
-    The legs are positive rationals over the common denominator den; a key k
-    stands for the argument offset k / den.  top is the largest exponent the
-    model evaluates.  sum() evaluates the tau sum of a polynomial
-    g(y) = sum_e c_e y^e over the measure, factored as A (x) B by splitting
-    the legs in two:
+    The legs are positive integers over a common denominator, which one gcd
+    reduces to the steps over den; a key k stands for the argument offset
+    k / den.  top is the largest exponent the model evaluates.  sum()
+    evaluates the tau sum of a polynomial g(y) = sum_e c_e y^e over the
+    measure, factored as A (x) B by splitting the legs in two:
 
         sum_a w_a sum_e c_e sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
 
@@ -381,9 +390,10 @@ class VertexMeasure:
     outside it.  The path decides which exact evaluation answers, never the value.
     """
 
-    def __init__(self, legs: list[Fraction], top: int):
-        self.den = math.lcm(*(leg.denominator for leg in legs))
-        self.steps = Counter(leg.numerator * (self.den // leg.denominator) for leg in legs)
+    def __init__(self, legs: list[int], den: int, top: int):
+        g = math.gcd(den, *legs)
+        self.den = den // g
+        self.steps = Counter(leg // g for leg in legs)
         self.n = len(legs)
         self.top = top
         self._parts = {}
@@ -411,16 +421,17 @@ class VertexMeasure:
         rule stated above errors.MEASURE_MAX) of every path, from the steps alone; on
         the table and the split, the entries are also the terms of their build.  The
         split takes the most repeated steps first, each into the group of smaller bound
-        so far; A is the group of smaller bound."""
+        so far (_bound, from its running product and sum); A is the smaller group."""
         whole, top = _bound(self.steps), self.top
-        groups = [[Counter(), 1], [Counter(), 1]]  # (steps, bound) as each grows
+        groups = [[{}, 1, 1, 0], [{}, 1, 1, 0]]  # (steps, bound, product, sum) as each grows
         for step, mult in sorted(self.steps.items(), key=lambda sm: (-sm[1], sm[0])):
             group = groups[groups[1][1] < groups[0][1]]
             group[0][step] = mult
-            group[1] = _bound(group[0])
-        (a, size_a), (b, size_b) = sorted(groups, key=lambda g: g[1])
-        return {_DIRECT: (self.steps, Counter(), whole, whole * (top + 1)),
-                _TABLE: (Counter(), self.steps, 1, 1 + whole * (top + 2)),
+            group[2:] = group[2] * (mult + 1), group[3] + step * mult
+            group[1] = min(group[2], group[3] + 1)
+        (a, size_a, *_), (b, size_b, *_) = sorted(groups, key=lambda g: g[1])
+        return {_DIRECT: (self.steps, {}, whole, whole * (top + 1)),
+                _TABLE: ({}, self.steps, 1, 1 + whole * (top + 2)),
                 _SPLIT: (a, b, size_a, size_a + size_b * (top + 2))}
 
     def _admitted(self) -> list:
@@ -520,18 +531,25 @@ class VertexMeasure:
                 twice += 2 * c * sum(w * (s + m * k) ** e
                                      for k, w in zip(a_keys[pos:], a_weights[pos:]))
             return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
-        twice, zero = 0, rows[-1]
+        twice, zero, below = 0, rows[-1], (-s) // m  # (-t) // m is below - a
+        if not const and folds is None:  # a monomial of degree >= 1: one Horner pass per row
+            for a, w in zip(a_keys, a_weights):
+                row = rows[bisect_right(b_keys, below - a)]  # B's args from here on are > 0
+                if row is not zero:
+                    t, acc = s + m * a, 0
+                    for c, v in zip(folded[0], row):
+                        acc = acc * t + c * v
+                    twice += w * acc
+            return Fraction(2 * twice * divisor.denominator, denominator * divisor.numerator)
         for a, w in zip(a_keys, a_weights):
             t = s + m * a
-            row = rows[i := bisect_right(b_keys, (-t) // m)]  # B's args from row i on are > 0
+            row = rows[i := bisect_right(b_keys, below - a)]  # B's args from row i on are > 0
             if const:
                 twice += const * w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
             if row is zero:
                 continue
-            acc = 0
-            if folds is None:  # a monomial: one Horner pass in t against the row
-                for c, v in zip(folded[0], row):
-                    acc = acc * t + c * v
+            if folds is None:  # y^0, the one monomial with a constant term
+                acc = folded[0][0] * row[0]
             else:
                 q = folds[i]
                 if q is None:  # g folded into row i: its coefficients in t, highest first
@@ -540,6 +558,7 @@ class VertexMeasure:
                         for j, (c, v) in enumerate(zip(coef, row), len(q) - len(coef)):
                             q[j] += c * v
                     folds[i] = q = tuple(q)
+                acc = 0
                 for c in q:  # one Horner pass in t for all of g
                     acc = acc * t + c
             twice += 2 * w * acc
@@ -605,30 +624,41 @@ class ContinuousSum(_Value):
     # -- cached model constants ------------------------------------------
 
     @cached_property
+    def _frame(self) -> tuple:
+        """(D, hi D, (hi - lo) D, the legs 2 a_j D), D the lcm of every center's and
+        half-width's denominator: the integers every exact constant below is made of."""
+        comps = self.components
+        common = math.lcm(*(v.denominator for c in comps for v in (c.center, c.half_width)))
+        legs = [2 * c.half_width.numerator * (common // c.half_width.denominator) for c in comps]
+        centers = sum(c.center.numerator * (common // c.center.denominator) for c in comps)
+        return common, centers + sum(legs) // 2, sum(legs), legs
+
+    @cached_property
     def _lo(self) -> Fraction:
-        return sum(c.lo for c in self.components)
+        return Fraction(self._frame[1] - self._frame[2], self._frame[0])
 
     @cached_property
     def _hi(self) -> Fraction:
-        return sum(c.hi for c in self.components)
+        return Fraction(self._frame[1], self._frame[0])
 
     @cached_property
     def _measure(self) -> VertexMeasure:
         """Vertex measure in arguments x - _hi + key / den: legs 2 a_j, up to the cdf's exponent n."""
-        return VertexMeasure([2 * c.half_width for c in self.components], self.n)
+        return VertexMeasure(self._frame[3], self._frame[0], self.n)
 
     @cached_property
     def _origin(self) -> tuple:
-        """(h, hi h, (hi - lo) h), h the lcm of den and hi's denominator, as integers."""
+        """(h, hi h, (hi - lo) h) from the frame, h the lcm of den and hi's denominator."""
         h = math.lcm(self._measure.den, self._hi.denominator)
-        return h, (self._hi * h).numerator, ((self._hi - self._lo) * h).numerator
+        common, hi, width, _ = self._frame
+        return h, hi // (common // h), width // (common // h)
 
     @cached_property
     def _polys(self) -> dict:
         """exponent -> the density's (n - 1) or the CDF's (n) monomial over its norm,
-        e! 2^n prod_j a_j, as VertexMeasure.sum takes it."""
-        widths = math.prod(c.half_width for c in self.components)
-        return {e: (((e, 1),), math.factorial(e) * 2 ** self.n * widths)
+        e! 2^n prod_j a_j = e! prod_j legs / D^n, as VertexMeasure.sum takes it."""
+        legs, power = math.prod(self._frame[3]), self._frame[0] ** self.n
+        return {e: (((e, 1),), Fraction(math.factorial(e) * legs, power))
                 for e in (self.n - 1, self.n)}
 
     # -- simple statistics -------------------------------------------------
@@ -867,8 +897,8 @@ class ContinuousSum(_Value):
         j = mirror[i]
         right = columns[-1][j]
         top = np.where(z > 0, right, left[j])
-        if exponent == 0:  # tau(0) = 1/2 at a jump
-            top = np.where(z == 0, 0.5 * (right + left[j]), top)
+        if exponent == 0:  # tau(0) = 1/2 at a jump; 0 z carries a NaN point, as no Horner step does
+            top = np.where(z == 0, 0.5 * (right + left[j]), top) + 0.0 * z
         acc = top
         for column in columns[-2::-1]:
             acc = acc * z + column[j]

@@ -157,7 +157,7 @@ class DiscreteSum(_Value):
     def _measure(self) -> VertexMeasure:
         """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1),
         up to the largest exponent n - 1."""
-        return VertexMeasure([2 * c.count for c in self.components], self.n - 1)
+        return VertexMeasure([2 * c.count for c in self.components], 1, self.n - 1)
 
     @cached_property
     def _laurent(self) -> tuple:

@@ -1,10 +1,12 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
 import contextlib
+import itertools
 import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -254,6 +256,90 @@ class TestQuantile:
                 assert (1 - value if flag else value) == s.cdf(x).value, x
                 mirrored.add(flag)
             assert mirrored == {False, True}
+
+
+# models whose exact constants come from the integer frame: generic doubles,
+# decimal strings, denominators 3 and 7, negative centers and identical legs
+_sevenths = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 7, 21]))
+_frame_pairs = st.one_of(
+    st.tuples(helpers.generic_centers, helpers.generic_widths),
+    st.tuples(st.decimals(-5, 5, places=3).map(str),
+              st.decimals("0.001", 5, places=3).map(str)),
+    st.tuples(_sevenths, _sevenths.filter(lambda a: a > 0)),
+    st.tuples(_sevenths.map(lambda c: -abs(c) - 1), st.one_of(helpers.widths, helpers.generic_widths)))
+_frame_models = st.one_of(
+    st.lists(_frame_pairs, min_size=1, max_size=8),
+    st.builds(lambda pair, n: [pair] * n, _frame_pairs, st.integers(1, 8)))
+
+
+class TestFrame:
+    @given(_frame_models)
+    @settings(max_examples=150, deadline=None)
+    def test_constants_equal_their_definitions(self, pairs):
+        s = ContinuousSum.from_pairs(pairs)
+        comps, n = s.components, s.n
+        lo, hi = sum(c.lo for c in comps), sum(c.hi for c in comps)
+        legs = [2 * c.half_width for c in comps]
+        den = math.lcm(*(leg.denominator for leg in legs))
+        h = math.lcm(den, hi.denominator)
+        assert (s._lo, s._hi) == (lo, hi) == s.support()
+        assert s._measure.den == den
+        assert s._measure.steps == Counter(leg.numerator * (den // leg.denominator) for leg in legs)
+        assert s._origin == (h, hi * h, (hi - lo) * h)
+        assert all(type(v) is int for v in s._origin)
+        widths = math.prod(c.half_width for c in comps)
+        for e in (n - 1, n):
+            assert s._polys[e] == (((e, 1),), math.factorial(e) * 2 ** n * widths)
+
+    @given(helpers.half_range_lists(max_n=8, m_max=400))
+    @settings(max_examples=40, deadline=None)
+    def test_discrete_measure(self, ms):
+        d = DiscreteSum.from_half_ranges(ms)
+        assert d._measure.den == 1
+        assert d._measure.steps == Counter(2 * (2 * m + 1) for m in ms)
+        assert d._measure.top == d.n - 1
+
+
+def _brute_measure(steps):
+    """prod over steps s of (z^s - 1), one term per flag vector: (keys, weights) of the
+    nonzero coefficients, keys ascending."""
+    weight = Counter()
+    for flags in itertools.product((0, 1), repeat=len(steps)):
+        weight[sum(f * s for f, s in zip(flags, steps))] += (-1) ** (len(steps) - sum(flags))
+    keys = sorted(k for k, w in weight.items() if w)
+    return tuple(keys), tuple(weight[k] for k in keys)
+
+
+class TestMergedMeasure:
+    @pytest.mark.parametrize("steps", [
+        [], [5], [1, 2, 3], [1, 2, 3, 3], [2, 2, 2, 2, 2], [1, 1, 2, 3, 4, 4, 4], [7, 3, 7, 3, 10]])
+    def test_examples(self, steps):
+        # single legs, repeated legs, and the legs 1, 2, 3 whose keys 3 cancel
+        keys, weights = contsum._vertex_measure(Counter(steps))
+        assert (keys, weights) == _brute_measure(steps)
+        assert len(keys) <= contsum._bound(Counter(steps))
+
+    def test_cancelling_legs(self):
+        assert contsum._vertex_measure(Counter([1, 2, 3])) == \
+            ((0, 1, 2, 4, 5, 6), (-1, 1, 1, -1, -1, 1))
+
+    @given(st.lists(st.integers(1, 12), max_size=11))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force(self, steps):
+        assert contsum._vertex_measure(Counter(steps)) == _brute_measure(steps)
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=16), st.integers(0, 16))
+    @settings(max_examples=150, deadline=None)
+    def test_split_plan(self, steps, top):
+        # the split's groups and bounds, kept from running products and sums, are
+        # those of the greedy that takes _bound of each group as it grows
+        groups = [Counter(), Counter()]
+        for step, mult in sorted(Counter(steps).items(), key=lambda sm: (-sm[1], sm[0])):
+            groups[contsum._bound(groups[1]) < contsum._bound(groups[0])][step] = mult
+        a, b = sorted(groups, key=contsum._bound)
+        size_a, size_b = contsum._bound(a), contsum._bound(b)
+        plan = contsum.VertexMeasure(steps, 1, top)._plans[contsum._SPLIT]
+        assert plan == (a, b, size_a, size_a + size_b * (top + 2))
 
 
 class TestMoments:
@@ -662,13 +748,14 @@ class TestVertexPaths:
 
     def test_sizes_are_taken_once(self, monkeypatch):
         # every bound is taken when the plan table is made: a first exact cdf
-        # takes a few, and a second one on the same model none
+        # takes the whole measure's, the split keeps its groups' bounds from
+        # their running products and sums, and a second cdf takes none
         calls = []
         bound = contsum._bound
         monkeypatch.setattr(contsum, "_bound", lambda steps: calls.append(1) or bound(steps))
         s = _generic_model(5, 12)
         s.cdf(F(1, 3))
-        assert 0 < len(calls) <= 18
+        assert len(calls) == 1
         first = len(calls)
         s.cdf(F(1, 2))
         assert len(calls) == first
@@ -1048,9 +1135,13 @@ class TestBatch:
         assert np.all(np.abs(s.density_batch([-39.0, 39.0]) - exact) <= 1e-12 * exact)
 
     def test_non_finite_points(self):
+        # NaN gives NaN, -inf 0 and +inf 0 (density) or 1 (CDF); n = 1 included,
+        # whose density table has no Horner step to carry the NaN
         xs = np.array([0.5, np.nan, -np.inf, np.inf, -1.0])
         for batch, below, above in ((TWO_MIXED.density_batch, 0.0, 0.0),
-                                    (TWO_MIXED.cdf_batch, 0.0, 1.0)):
+                                    (TWO_MIXED.cdf_batch, 0.0, 1.0),
+                                    (UNIT_BOX.density_batch, 0.0, 0.0),
+                                    (UNIT_BOX.cdf_batch, 0.0, 1.0)):
             out = batch(xs)
             assert np.isnan(out[1]) and (out[2], out[3]) == (below, above)
             assert list(out[[0, 4]]) == list(batch(xs[[0, 4]]))
