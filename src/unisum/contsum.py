@@ -592,7 +592,8 @@ class ContinuousSum(_Value):
 
     All distribution-level operations are pure functions of the stored
     components; instances are immutable and safe to share across threads.
-    A copy or a pickle carries the components only, no cached constants.
+    A model caches its constants and a memo of up to 8 of its last exact sums
+    (a point asked in both modes is summed once); a copy or pickle carries neither.
 
     Examples
     --------
@@ -693,13 +694,25 @@ class ContinuousSum(_Value):
         k = scale // h
         return num * (scale // d) - hi * k, width * k, scale
 
+    @cached_property
+    def _sums(self) -> dict:
+        """(s, scale, exponent) -> the exact vertex sum of _tau there; 8 keys at most."""
+        return {}
+
     def _tau(self, s: int, w: int, scale: int, exponent: int, above: int) -> Fraction:
         """The tau form at (s, w, scale) of _start: 0 below lo, `above` past hi."""
         if s > 0:
             return Fraction(above)
         if s + w < 0:
             return Fraction(0)
-        return self._measure.sum(s, scale, self._polys[exponent])
+        sums, key = self._sums, (s, scale, exponent)
+        value = sums.get(key)
+        if value is None:  # two threads that both miss store equal values
+            value = self._measure.sum(s, scale, self._polys[exponent])
+            if len(sums) >= 8:
+                sums.clear()
+            sums[key] = value
+        return value
 
     def _row_sum(self, s: int, w: int, scale: int) -> tuple:
         """(V, mirrored) at (s, w, scale) of _start, from _rows: the CDF is V / (scale^n
@@ -959,12 +972,22 @@ def density_feller(n: int, a, x, mode: EvalMode = EXACT):
         f_n(x) = sum_{k=0}^{n} (-1)^k C(n, k) (x + (n-2k) a)_+^(n-1)
                  / ((n-1)! (2a)^n),
 
-    which is what density_tau evaluates on the n-component sum: its vertex
-    measure merges the equal legs 2a into these n + 1 entries.  n >= 1 must
-    be an int, not a bool.  Returns a Fraction in exact mode, the exact value
-    rounded to a float otherwise.
+    summed here in integers over one Fraction, tau(0) = 1/2 at n = 1: a check of
+    density_tau on the n-component sum, whose measure merges the legs 2a into
+    these n + 1 entries and whose capacity rule applies inside the support.
+    n >= 1 must be an int, not a bool.  Returns a Fraction in exact mode, the
+    exact value rounded to a float otherwise.
     """
-    return ContinuousSum.from_pairs([(0, a)] * _whole(n, "n", 1)).density_tau(x, mode).value
+    model = ContinuousSum.from_pairs([(0, a)] * _whole(n, "n", 1))
+    (p, q), (u, v) = _point(x, mode), model.components[0].half_width.as_integer_ratio()
+    if abs(p) * v <= n * u * q:  # x = p / q, a = u / v
+        model._measure._admitted()
+    twice = 0  # twice the sum times (q v)^(n - 1), over the arguments t / (q v) >= 0
+    for k in range(n + 1):
+        if (t := p * v + (n - 2 * k) * u * q) >= 0:
+            twice += (-1) ** k * math.comb(n, k) * (2 if t else 1) * t ** (n - 1)
+    norm = 2 ** (n + 1) * math.factorial(n - 1) * u ** n * (q * v) ** (n - 1)
+    return _result(Fraction(twice * v ** n, norm), mode).value
 
 
 def density_olds(a: list, x, mode: EvalMode = EXACT):

@@ -18,8 +18,8 @@
 #   a split's parts when it moves on; with none, the first density, CDF or
 #   PMF is refused, naming the smallest size.  1,023 identical components are
 #   admitted, 1,024 refused (1025 * 1025 continuous, 1025 * 1024 discrete).
-#   29 generic continuous widths (2**14 + 2**15 * 31 entries) take about
-#   0.8 s to the first exact cdf and 175 MB of peak RSS; 30 are refused.
+#   29 generic continuous widths (2**14 + 2**15 * 31 entries) take 0.45 to
+#   0.7 s to the first exact cdf and 166 to 170 MB of peak RSS; 30 are refused.
 # * breakpoints() builds the whole measure, whose bound must fit: refused
 #   from 21 generic widths on (2**20 generic entries take about 2.5 s and
 #   230 MB of peak RSS).

@@ -1,8 +1,10 @@
 """Unit and property tests for the continuous vertex-sum formulas."""
 
 import contextlib
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -44,6 +46,18 @@ _piece_models = st.one_of(
     helpers.component_lists(max_n=7),
     st.lists(st.tuples(helpers.generic_centers, helpers.generic_widths), min_size=1, max_size=7),
     helpers.mixed_component_lists(max_n=7)).map(ContinuousSum.from_pairs)
+
+
+def _counting_sums(monkeypatch) -> list:
+    """Patch VertexMeasure.sum to record each call; return the list of calls."""
+    real, calls = contsum.VertexMeasure.sum, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contsum.VertexMeasure, "sum", counted)
+    return calls
 
 
 class TestSupport:
@@ -222,13 +236,7 @@ class TestQuantile:
                                          [F(1, 10), HALF, F(1, 10 ** 15), 1 - F(1, 10 ** 15)])
 
     def test_rows_replace_the_vertex_sums(self, monkeypatch):
-        real, calls = contsum.VertexMeasure.sum, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(contsum.VertexMeasure, "sum", counted)
+        calls = _counting_sums(monkeypatch)
         for s in (_eighths(9, 9), _generic_shifted(9, 9)):
             s.density_batch([0.0])
             s.quantile(F(1, 10)), s.quantile(F(9, 10))
@@ -409,6 +417,16 @@ class TestSpecialCases:
     def test_feller_rejects_illegal_counts(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             density_feller(n, 1, 0)
+
+    def test_feller_capacity(self):
+        # the n-component model's capacity rule, checked before the sum: 1,024
+        # identical components are refused inside the support, as their vertex
+        # sum is, and outside it, where that sum is never asked, the value is 0
+        helpers.assert_refused_unbuilt(lambda: density_feller(1024, 1, 0), 1025 * 1025)
+        helpers.assert_refused_unbuilt(lambda: density_feller(1024, 1, -1024), 1025 * 1025)
+        assert density_feller(1024, 1, 1025) == 0
+        assert density_feller(1023, 1, 0) == ContinuousSum.from_pairs(
+            [(0, 1)] * 1023).density_tau(0).value > 0
 
     def test_measure_budget(self):
         helpers.assert_refused_unbuilt(lambda: density_olds(helpers.POW2_30, 0), 33 * 2 ** 15)
@@ -797,7 +815,7 @@ class TestVertexPaths:
             costs = {p: measure._costs(p, exponents) for p in admitted}
             path, spent, due = measure._path, measure._spent, measure._due
             getattr(model, op)(x)
-            if measure._spent == spent:  # off the support: no sum
+            if measure._spent == spent:  # off the support, or asked before: no sum
                 continue
             new = measure._path
             assert new in admitted and set(measure._parts) == {new}
@@ -817,19 +835,20 @@ class TestVertexPaths:
         hundred = ContinuousSum.from_pairs([(0, 1)] * 100)  # the direct loop, 101 terms a cdf
         generic = _generic_model(5, 12)  # the split, then the table after about 70 sums
         reference = ContinuousSum(generic.components)
-        xs = [F(i, 7) for i in range(-6, 6)]
-        want = [reference.cdf(x).value for x in xs]
-        results = []
+        # no point is asked twice, so no sum is answered from the model's memo
+        xs = [[F(i, 7) + F(k, 1000) for i in range(-6, 6)] for k in range(8)]
+        want = {k: [reference.cdf(x).value for x in row] for k, row in enumerate(xs)}
+        results = {}
 
-        def worker():
-            results.append([generic.cdf(x).value for x in xs])
-            for x in xs:
+        def worker(k):
+            results[k] = [generic.cdf(x).value for x in xs[k]]
+            for x in xs[k]:
                 hundred.cdf(x)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker) for _ in range(8)]
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -837,8 +856,8 @@ class TestVertexPaths:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == [want] * 8
-        assert hundred._measure._spent == 8 * len(xs) * 101
+        assert results == want
+        assert hundred._measure._spent == 8 * len(xs[0]) * 101
         assert generic._measure._path == contsum._TABLE
         assert set(generic._measure._parts) == {contsum._TABLE}
 
@@ -998,6 +1017,85 @@ class TestPointPath:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * 8
+
+
+class TestMemo:
+    """Each model's memo of its last exact sums in _tau."""
+
+    def test_both_modes_sum_once(self, monkeypatch):
+        # a fresh generic n = 12 model asked density and cdf in both modes at
+        # one double: the float calls round the sums the exact ones made
+        calls = _counting_sums(monkeypatch)
+        s = _generic_shifted(36, 12)
+        x = float(s.moments()[0]) + 0.125
+        exact = s.density_tau(x), s.cdf(x)
+        spent = s._measure._spent
+        floats = s.density_tau(x, FLOAT), s.cdf(x, FLOAT)
+        assert len(calls) == 2 and s._measure._spent == spent
+        fresh = ContinuousSum(s.components)
+        assert floats == (fresh.density_tau(x, FLOAT), fresh.cdf(x, FLOAT))
+        assert [r.value for r in floats] == [float(r.value) for r in exact]
+
+    def test_bounded(self, monkeypatch):
+        calls = _counting_sums(monkeypatch)
+        s = _generic_model(7, 6)
+        lo, hi = s.support()
+        s.cdf(hi + 1), s.density_tau(lo - 1)  # off the support: no sum, no memo
+        assert calls == [] and "_sums" not in vars(s)
+        xs = [lo + (hi - lo) * F(i, 101) for i in range(1, 101)]
+        passes = []
+        for _ in range(2):  # the second pass follows clears: every point is summed again
+            values = []
+            for x in xs:
+                values.append((s.density_tau(x).value, s.cdf(x).value))
+                assert len(s._sums) <= 8
+            passes.append(values)
+        assert len(calls) == 2 * 2 * len(xs)
+        assert passes[0] == passes[1]
+        pairs = [(c.center, c.half_width) for c in s.components]
+        assert passes[0][:3] == [(helpers.brute_continuous(pairs, x, "density_tau"),
+                                  helpers.brute_continuous(pairs, x, "cdf")) for x in xs[:3]]
+
+    def test_copies_carry_no_memo(self):
+        s = _generic_model(8, 5)
+        before = hash(s)
+        s.cdf(F(1, 3))
+        assert s._sums
+        for twin in (copy.copy(s), pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert "_sums" not in vars(twin) and "_measure" not in vars(twin)
+            assert twin == s and hash(twin) == hash(s) == before
+
+    def test_shared_across_threads(self):
+        # four threads share one model and its memo, asking an interleaved set
+        # of points in both modes, and get what one thread gets
+        model = _generic_shifted(37, 8)
+        lo, hi = model.support()
+        xs = [float(lo + (hi - lo) * F(i, 13)) for i in range(1, 13)]
+        modes = (EXACT, FLOAT)
+
+        def ask(s, order):
+            return {(x, mode): (s.density_tau(x, mode), s.cdf(x, mode), s.density_sign(x, mode))
+                    for x in order for mode in modes}
+
+        want = ask(ContinuousSum(model.components), xs)
+        results = []
+
+        def worker(k):
+            results.append(ask(model, xs[k:] + xs[:k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1, 3, 6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 4
+        assert len(model._sums) <= 8 + 3  # threads that race past the clear add one each
 
 
 def _assert_within_bound(s, xs):

@@ -273,9 +273,9 @@ class TestFold:
     def test_monomials_keep_no_row(self, monkeypatch):
         reads = _counting_rows(monkeypatch)
         s = helpers.forced(ContinuousSum.from_pairs([(0, 1), (1, 2), (0, 3)]), contsum._TABLE)
-        for k in range(1, 4):
-            s.density_tau(F(1, 3))
-            s.cdf(F(1, 3))
+        for k in range(1, 4):  # a distinct point each round: a point asked again is not summed
+            s.density_tau(F(k, 3))
+            s.cdf(F(k, 3))
             assert reads[0] == 2 * k  # one Horner pass on the row per sum, every time
         assert s._measure._parts[contsum._TABLE][4] == [None, None, None]
 
