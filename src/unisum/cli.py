@@ -13,9 +13,13 @@ tables use five decimals with round-half-even, and CSV output is
 byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
 full pmf support, may hold at most 10**6 points, and sample and verify may
 draw at most 10**6 values (--count); a model over the capacity rule stated
-above MEASURE_MAX in errors.py fails at its first point.  All three exit
-with 1.  --n-max must be at least 1, --k-max and --seed at least 0, and
---count at least 1; anything else is a usage error (exit 2).
+above MEASURE_MAX in errors.py fails at its first point.  The reciprocal-sine
+rows of coeffs and of verify's coeffs suite may hold at most 10**6
+coefficients, N (K + 1) for --n-max N and --k-max K, and take at most
+2 * 10**7 units of work, N K^3, checked before the first row is made (the
+series oracle of verify is not counted).  All four exit with 1.  --n-max
+must be at least 1, --k-max and --seed at least 0, and --count at least 1;
+anything else is a usage error (exit 2).
 
 Only verify's cont suite, which a plain verify runs too, imports numpy, for
 its batch paths and its KS test; sample draws from the standard library's
@@ -355,13 +359,26 @@ def run_table(spec: JobSpec) -> str:
     return "\n".join(head + body) + "\n"
 
 
+# Most work N K^3 that the rows of coeffs or verify's coeffs suite may take.
+_ROW_WORK_MAX = 2 * 10 ** 7
+
+
+def _coeff_rows(spec: JobSpec):
+    """(n, [B(n, 0), ..., B(n, k_max)]) for n = 1, ..., n_max: one row per n,
+    refused before the first unless they hold at most _GRID_MAX coefficients
+    and take at most _ROW_WORK_MAX work."""
+    count, work = spec.n_max * (spec.k_max + 1), spec.n_max * spec.k_max ** 3
+    if count > _GRID_MAX:
+        raise CapacityError(f"{count} coefficients exceed the limit of {_GRID_MAX}")
+    if work > _ROW_WORK_MAX:
+        raise CapacityError(f"rows of work N K^3 = {work} exceed the limit of {_ROW_WORK_MAX}")
+    return ((n, discsum._csc_row(n, spec.k_max + 1)) for n in range(1, spec.n_max + 1))
+
+
 def _run_coeffs(spec: JobSpec):
     lines = ["n,k,value,exact"] if spec.csv else []
-    for n in range(1, spec.n_max + 1):
-        for k in range(spec.k_max + 1):
-            b = discsum.csc_coefficient(n, k)
-            lines.append(f"{n},{k},{format_decimal(b)},{b}" if spec.csv
-                         else f"b(n={n}, k={k}) = {b}")
+    lines += [f"{n},{k},{format_decimal(b)},{b}" if spec.csv else f"b(n={n}, k={k}) = {b}"
+              for n, row in _coeff_rows(spec) for k, b in enumerate(row)]
     return "\n".join(lines) + "\n", True
 
 
@@ -383,16 +400,13 @@ def _verify_coeffs(spec: JobSpec, lines: list[str]) -> bool:
     from . import oracles
 
     ok = True
-    for n in range(1, spec.n_max + 1):
-        oracle = oracles.csc_series_oracle(n, spec.k_max)
-        for k in range(spec.k_max + 1):
-            formula = discsum.csc_coefficient(n, k)
+    for n, row in _coeff_rows(spec):
+        for k, (formula, series) in enumerate(zip(row, oracles.csc_series_oracle(n, spec.k_max))):
             if spec.suite == "coeffs":
                 lines.append(f"b(n={n}, k={k}) = {formula}")
-            if formula != oracle[k]:
+            if formula != series:
                 ok = False
-                lines.append(
-                    f"MISMATCH b(n={n}, k={k}): formula {formula}, series {oracle[k]}")
+                lines.append(f"MISMATCH b(n={n}, k={k}): formula {formula}, series {series}")
     lines.append(f"suite coeffs: {'PASS' if ok else 'FAIL'} (n<=:{spec.n_max}, "
                  f"k<=:{spec.k_max}, {spec.n_max * (spec.k_max + 1)} entries)")
     return ok

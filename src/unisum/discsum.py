@@ -25,8 +25,9 @@ g is the central factorial polynomial
 Vogt, Numer. Funct. Anal. Optim. 10, 1989), so DiscreteSum._laurent expands
 it from its roots 0, +-2, +-4, ... (n even) or +-1, +-3, ... (n odd) in
 integers and needs no B(n, k).  csc_coefficient keeps the paper's B(n, k)
-by Miller's recurrence.  The tests check _laurent against the power-series
-oracle, and csc_coefficient against it and the paper's explicit triple sum.
+by Miller's recurrence, one row of n up to k per call; coeffs reads whole
+rows.  The tests check _laurent against the power-series oracle, and
+csc_coefficient against it and the paper's explicit triple sum.
 
 Everything here is computed in exact rational arithmetic: the inputs are
 integers, the Laurent coefficients are rationals, and the alternating
@@ -36,7 +37,6 @@ structure makes floating point useless at these sizes.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import cached_property
 
@@ -54,39 +54,30 @@ __all__ = [
 # Laurent coefficients of (1 / sin x)^n
 # ---------------------------------------------------------------------------
 
-_ROWS: dict[int, list] = {}  # n -> [B(n, 0), B(n, 1), ...], the longest row made so far
-_ROWS_LOCK = threading.Lock()
-
-
 def _csc_row(n: int, length: int) -> list:
-    """The cached row B(n, 0), B(n, 1), ... of n, grown under a lock to at least length.
+    """A fresh row B(n, 0), B(n, 1), ..., B(n, length - 1), length >= 1.
 
     The row is the series of h^(-n) in y = x^2, h = sin x / x = sum_i h_i y^i
     with h_i = (-1)^i / (2i + 1)!, by J. C. P. Miller's recurrence for a
     power of a power series (Knuth, TAOCP vol. 2, 4.7), O(k) operations each:
 
         B(n, k) = (1/k) sum_{i=1}^{k} ((1 - n) i - k) h_i B(n, k - i).
-
-    A row only grows, so its first length entries are read without the lock.
     """
-    with _ROWS_LOCK:
-        row = _ROWS.setdefault(n, [Fraction(1)])
-        if len(row) < length:
-            h = [Fraction((-1) ** i, math.factorial(2 * i + 1)) for i in range(length)]
-            for k in range(len(row), length):
-                row.append(sum(((1 - n) * i - k) * h[i] * row[k - i]
-                               for i in range(1, k + 1)) / k)
+    h = [Fraction((-1) ** i, math.factorial(2 * i + 1)) for i in range(length)]
+    row = [Fraction(1)]
+    for k in range(1, length):
+        row.append(sum(((1 - n) * i - k) * h[i] * row[k - i] for i in range(1, k + 1)) / k)
     return row
 
 
 def csc_coefficient(n: int, k: int) -> Fraction:
     """Coefficient B(n, k) of x^(2k-n) in the Laurent expansion of (1/sin x)^n.
 
-    B(n, 0) = 1, B(1, 1) = 1/6, ...  Read from the row of n that Miller's
-    recurrence grows (_csc_row), cached and shared between threads.  The PMF
-    does not read it: its Laurent sum over k is the central factorial
-    polynomial of the module docstring.  n >= 1 and k >= 0 must be ints, not
-    bools; anything else is a ValueError.
+    B(n, 0) = 1, B(1, 1) = 1/6, ...  A call makes the row of n up to k anew
+    (_csc_row), so a loop over k pays one row per call; coeffs reads whole
+    rows.  The PMF does not read it: its Laurent sum over k is the central
+    factorial polynomial of the module docstring.  n >= 1 and k >= 0 must be
+    ints, not bools; anything else is a ValueError.
     """
     return _csc_row(_whole(n, "n", 1), _whole(k, "k", 0) + 1)[k]
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from unisum import CapacityError, ContinuousSum, DiscreteSum, contsum
+from unisum import CapacityError, ContinuousSum, DiscreteSum, contsum, discsum
 from unisum.oracles import csc_series_oracle
 
 PATHS = (contsum._DIRECT, contsum._TABLE, contsum._SPLIT)
@@ -92,6 +92,19 @@ def csc_triple_sum(n: int, k: int) -> Fraction:
         total += Fraction(n, n + m) * comb(2 * k, m) \
             * Fraction(inner, 2 ** m * math.factorial(2 * k + m))
     return (-1) ** k * comb(n + 2 * k, n) * total
+
+
+def record_rows(monkeypatch) -> list:
+    """Wrap discsum._csc_row: the returned list gets the (n, length) of each call."""
+    calls = []
+    real = discsum._csc_row
+
+    def row(n, length):
+        calls.append((n, length))
+        return real(n, length)
+
+    monkeypatch.setattr(discsum, "_csc_row", row)
+    return calls
 
 
 def central_trinomial(n: int) -> int:

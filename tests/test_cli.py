@@ -13,7 +13,21 @@ import pytest
 
 import helpers
 from test_cli_golden import GOLDEN, MODEL, RANGE
-from unisum import EXACT, ContinuousSum, DiscreteSum, EvalResult, cli, discsum
+import unisum
+from unisum import (
+    EXACT,
+    FLOAT,
+    ContinuousSum,
+    DiscreteSum,
+    EvalResult,
+    cli,
+    csc_coefficient,
+    density_feller,
+    density_olds,
+    discsum,
+    oracles,
+    pmf_n2_closed,
+)
 from unisum.cli import (
     JobSpec,
     UsageError,
@@ -364,6 +378,31 @@ class TestCoeffs:
         assert out.splitlines()[0] == "n,k,value,exact"
         assert "1,2,0.019444,7/360" in out
 
+    @pytest.mark.parametrize("argv", [["coeffs"], ["coeffs", "--csv"],
+                                      ["verify", "--suite", "coeffs"]])
+    def test_one_row_per_n(self, capsys, monkeypatch, argv):
+        calls = helpers.record_rows(monkeypatch)
+        code, _, _ = run(capsys, *argv, "--n-max", "5", "--k-max", "3")
+        assert code == 0
+        assert calls == [(n, 4) for n in range(1, 6)]
+
+    # the last admitted and the first refused (N, K): wide, long, and by the count N (K + 1)
+    @pytest.mark.parametrize("admitted, refused, message", [
+        ((20000, 10), (20001, 10), "N K^3 = 20001000 exceed the limit of 20000000"),
+        ((1, 271), (1, 272), "N K^3 = 20123648 exceed the limit of 20000000"),
+        ((500000, 1), (500001, 1), "1000002 coefficients exceed the limit of 1000000"),
+        ((10 ** 6, 0), (10 ** 6 + 1, 0), "1000001 coefficients exceed the limit of 1000000"),
+    ])
+    @pytest.mark.parametrize("command", [["coeffs"], ["verify", "--suite", "coeffs"]])
+    def test_bound(self, capsys, monkeypatch, admitted, refused, message, command):
+        calls = helpers.record_rows(monkeypatch)
+        n, k = admitted
+        cli._coeff_rows(parse_args([*command, f"--n-max={n}", f"--k-max={k}"]))  # no raise
+        n, k = refused
+        code, out, err = run(capsys, *command, f"--n-max={n}", f"--k-max={k}")
+        assert (code, out) == (1, "") and message in err
+        assert calls == []
+
 
 class TestVerify:
     def test_quick_pass(self, capsys):
@@ -381,13 +420,13 @@ class TestVerify:
         assert "b(n=3, k=1) = 1/2" in out
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
-        real = discsum.csc_coefficient
+        real = discsum._csc_row
 
-        def negated(n, k):
-            v = real(n, k)
-            return -v if (n, k) == (2, 1) else v
+        def negated(n, length):
+            row = real(n, length)
+            return [-v if (n, k) == (2, 1) else v for k, v in enumerate(row)]
 
-        monkeypatch.setattr(discsum, "csc_coefficient", negated)
+        monkeypatch.setattr(discsum, "_csc_row", negated)
         code, out, _ = run(capsys, "verify", "--suite", "coeffs",
                            "--n-max", "3", "--k-max", "2")
         assert code == 1
@@ -613,3 +652,35 @@ class TestImportPath:
                 "assert 'numpy' in sys.modules\n")
         done = _python(code)
         assert done.returncode == 0, done.stderr
+
+
+class TestNoModuleState:
+    """The package keeps no state between calls in its modules: only each
+    model's own caches and contsum._plan's bounded cache of values."""
+
+    def test_public_calls_resize_no_module_container(self, capsys):
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "unisum"]
+        assert {unisum, cli, discsum, oracles} <= set(modules)
+
+        def sizes():
+            return {(m.__name__, name): len(v) for m in modules
+                    for name, v in vars(m).items() if isinstance(v, (dict, list, set))}
+
+        before = sizes()
+        assert ("unisum.cli", "_COMMANDS") in before
+        csum = ContinuousSum.from_pairs([(0, 1), (F(1, 3), F(1, 2))])
+        for mode in (EXACT, FLOAT):
+            csum.density_tau(F(1, 4), mode), csum.density_sign(F(1, 4), mode)
+            csum.cdf(F(1, 4), mode)
+        csum.support(), csum.moments(), csum.breakpoints(), csum.quantile(F(1, 3))
+        csum.cool_identity_residual(F(1, 4))
+        csum.density_batch(np.array([0.25])), csum.cdf_batch(np.array([0.25]))
+        dsum = DiscreteSum.from_half_ranges([1, 2, 3])
+        dsum.pmf_tau(1), dsum.pmf_sign(1), dsum.pmf_full(), dsum.support()
+        density_feller(3, F(1, 2), 0), density_olds([1, 2], 1), pmf_n2_closed(1, 2, 0)
+        csc_coefficient(9, 7)
+        for command in COMMANDS:
+            argv = ["--count", "200"] if command == "verify" else MINIMAL[command]
+            assert main([command, *argv]) == 0, command
+        capsys.readouterr()
+        assert sizes() == before

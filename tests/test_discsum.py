@@ -59,6 +59,14 @@ class TestCscCoefficient:
         with pytest.raises(ValueError, match="must be an integer"):
             csc_coefficient(n, k)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 10))
+    def test_row_is_the_series_and_extends_shorter_rows(self, n, length):
+        row = discsum._csc_row(n, length)
+        assert row == csc_series_oracle(n, length - 1)
+        for k in range(length):
+            assert row[:k + 1] == discsum._csc_row(n, k + 1)
+
     def test_concurrent_lookups_consistent(self):
         # more threads than cores, with a short switch interval, each growing
         # the one shared row of n = 37 to its own length first: a coefficient
@@ -400,8 +408,8 @@ class TestLaurent:
             want = (-1) ** k * oracle[k] / math.factorial(e) * d.mass_norm / 2 ** (n - 1)
             assert coef / divisor == want, (n, k)
 
-    def test_pmf_reads_no_reciprocal_sine_row(self):
-        before = set(discsum._ROWS)
+    def test_pmf_reads_no_reciprocal_sine_row(self, monkeypatch):
+        calls = helpers.record_rows(monkeypatch)
         d = DiscreteSum.from_half_ranges([1] * 500)
         assert d.pmf_tau(1 - d.span) == F(500, 3 ** 500)
-        assert set(discsum._ROWS) == before and 500 not in before
+        assert calls == []
