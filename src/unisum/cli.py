@@ -14,10 +14,11 @@ byte-deterministic for a fixed job.  A `--from/--to/--step` grid, like the
 full pmf support, may hold at most 10**6 points, and sample and verify may
 draw at most 10**6 values (--count); a model over the capacity rule stated
 above MEASURE_MAX in errors.py fails at its first point.  The reciprocal-sine
-rows of coeffs and of verify's coeffs suite may hold at most 10**6
-coefficients, N (K + 1) for --n-max N and --k-max K, and take at most
-2 * 10**7 units of work, N K^3, checked before the first row is made (the
-series oracle of verify is not counted).  All four exit with 1.  --n-max
+rows of coeffs and of verify's coeffs suite, N (K + 1) coefficients for
+--n-max N and --k-max K, may take at most 2 * 10**7 units of work,
+N (K + 1) (K^2 + 44 K + 60) / 2, checked before the first row is made;
+verify's series oracle, one truncated product per n, does about as much
+again.  All four exit with 1.  --n-max
 must be at least 1, --k-max and --seed at least 0, and --count at least 1;
 anything else is a usage error (exit 2).
 
@@ -359,20 +360,21 @@ def run_table(spec: JobSpec) -> str:
     return "\n".join(head + body) + "\n"
 
 
-# Most work N K^3 that the rows of coeffs or verify's coeffs suite may take.
+# Most work N (K + 1) (K^2 + 44 K + 60) / 2 that the rows of coeffs or verify's
+# coeffs suite may take: N (K + 1) coefficients, of about K / 2 recurrence terms
+# each, a term costing K + 44 units and a coefficient's output 30.  A unit is about
+# 0.1 us on a 2-core x86-64 machine, fitted to whole coeffs runs, 1 x 50 to 10**6 x 0.
 _ROW_WORK_MAX = 2 * 10 ** 7
 
 
 def _coeff_rows(spec: JobSpec):
     """(n, [B(n, 0), ..., B(n, k_max)]) for n = 1, ..., n_max: one row per n,
-    refused before the first unless they hold at most _GRID_MAX coefficients
-    and take at most _ROW_WORK_MAX work."""
-    count, work = spec.n_max * (spec.k_max + 1), spec.n_max * spec.k_max ** 3
-    if count > _GRID_MAX:
-        raise CapacityError(f"{count} coefficients exceed the limit of {_GRID_MAX}")
-    if work > _ROW_WORK_MAX:
-        raise CapacityError(f"rows of work N K^3 = {work} exceed the limit of {_ROW_WORK_MAX}")
-    return ((n, discsum._csc_row(n, spec.k_max + 1)) for n in range(1, spec.n_max + 1))
+    refused before the first unless they take at most _ROW_WORK_MAX work."""
+    n_max, k = spec.n_max, spec.k_max
+    if (work := n_max * (k + 1) * (k * k + 44 * k + 60) // 2) > _ROW_WORK_MAX:
+        raise CapacityError(f"rows of work N (K + 1) (K^2 + 44 K + 60) / 2 = {work} "
+                            f"exceed the limit of {_ROW_WORK_MAX}")
+    return ((n, discsum._csc_row(n, k + 1)) for n in range(1, n_max + 1))
 
 
 def _run_coeffs(spec: JobSpec):
@@ -400,8 +402,8 @@ def _verify_coeffs(spec: JobSpec, lines: list[str]) -> bool:
     from . import oracles
 
     ok = True
-    for n, row in _coeff_rows(spec):
-        for k, (formula, series) in enumerate(zip(row, oracles.csc_series_oracle(n, spec.k_max))):
+    for (n, row), oracle in zip(_coeff_rows(spec), oracles.csc_series_rows(spec.n_max, spec.k_max)):
+        for k, (formula, series) in enumerate(zip(row, oracle)):
             if spec.suite == "coeffs":
                 lines.append(f"b(n={n}, k={k}) = {formula}")
             if formula != series:

@@ -68,20 +68,20 @@ the splits whose remaining build the terms summed cover, the one with the
 cheapest point answers, the current one on ties (rent or buy).  No count
 of future points is assumed.
 
-The point path.  A model's exact constants are integers over one common
-denominator D, the lcm of its centers' and half-widths' denominators
-(ContinuousSum._frame): hi D, (hi - lo) D and the legs 2 a_j D, which the
-measure reduces by one gcd to its steps over den.  Exact mode, the
-reference, computes in rationals; float mode rounds the exact value at the
-double nearest to x once (EvalResult).  A point x = num / d is one integer
-pass: x - hi and hi - lo are integers s and w over scale = lcm(d, h), h
-the lcm of den and hi's reduced denominator, a divisor of D
-(ContinuousSum._start); s > 0 lies past the support, s + w < 0 below it,
-and -s - w is the mirrored start.  VertexMeasure.sum takes the polynomial
-at that scale from a plan cached by value (_plan), makes one integer pass
-over A, one Horner pass per entry against B's row (a polynomial of several
-terms, the PMF, folded into the row once and kept), and divides once, in
-its only Fraction.  Once a batch path has kept the exact CDF rows
+The point path.  A model's exact constants are integers over h, the least
+denominator of hi and every leg (ContinuousSum._frame): hi h, (hi - lo) h
+and the legs 2 a_j h, which the measure reduces by one gcd to its steps
+over den.  Exact mode, the reference, computes in rationals; float mode
+rounds the exact value at the double nearest to x once (EvalResult).  A
+point x = num / d is one integer pass: x - hi and hi - lo are integers s
+and w over scale = lcm(d, h) (ContinuousSum._start); s > 0 lies past the
+support, s + w < 0 below it, and -s - w is the mirrored start.
+VertexMeasure.sum takes the polynomial at that scale from a plan cached by
+value (_plan) and makes one integer pass over A: one power per entry and
+term on the direct loop, else one loop over B's rows, one Horner pass per
+entry against its row (a polynomial of several terms, the PMF, reads its
+fold into the row, made once and kept); it divides once, in its only
+Fraction.  Once a batch path has kept the exact CDF rows
 (ContinuousSum._rows), a quantile step is one bisection of the keys, one
 integer Horner pass on a row or on its mirror's, and one integer comparison
 with q, with no Fraction.
@@ -512,8 +512,9 @@ class VertexMeasure:
         g_+(y) is g(y) tau(y), tau(0) = 1/2: a zero argument takes half of
         g's constant term.  Over scale^degree the sum is one integer; the
         arguments ascend with the keys, so bisection locates the zero ones.
-        A g of several terms is folded into each row of B the first time a
-        point reads it, and kept for one g at one scale (folds); a monomial is not.
+        The table and the split share one loop over B's rows: a monomial multiplies
+        its row of C(e, j) m^j into B's in the Horner pass, a g of several terms reads
+        its fold into the row, made once and kept for one g at one scale (folds).
         """
         terms, divisor = poly
         m = scale // self.den
@@ -532,24 +533,16 @@ class VertexMeasure:
                                      for k, w in zip(a_keys[pos:], a_weights[pos:]))
             return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
         twice, zero, below = 0, rows[-1], (-s) // m  # (-t) // m is below - a
-        if not const and folds is None:  # a monomial of degree >= 1: one Horner pass per row
-            for a, w in zip(a_keys, a_weights):
-                row = rows[bisect_right(b_keys, below - a)]  # B's args from here on are > 0
-                if row is not zero:
-                    t, acc = s + m * a, 0
-                    for c, v in zip(folded[0], row):
-                        acc = acc * t + c * v
-                    twice += w * acc
-            return Fraction(2 * twice * divisor.denominator, denominator * divisor.numerator)
         for a, w in zip(a_keys, a_weights):
-            t = s + m * a
             row = rows[i := bisect_right(b_keys, below - a)]  # B's args from row i on are > 0
+            t, acc = s + m * a, 0
             if const:
                 twice += const * w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
             if row is zero:
                 continue
-            if folds is None:  # y^0, the one monomial with a constant term
-                acc = folded[0][0] * row[0]
+            if folds is None:  # a monomial: its row of c C(e, j) m^j times B's, one Horner pass
+                for c, v in zip(folded[0], row):
+                    acc = acc * t + c * v
             else:
                 q = folds[i]
                 if q is None:  # g folded into row i: its coefficients in t, highest first
@@ -558,7 +551,6 @@ class VertexMeasure:
                         for j, (c, v) in enumerate(zip(coef, row), len(q) - len(coef)):
                             q[j] += c * v
                     folds[i] = q = tuple(q)
-                acc = 0
                 for c in q:  # one Horner pass in t for all of g
                     acc = acc * t + c
             twice += 2 * w * acc
@@ -626,13 +618,15 @@ class ContinuousSum(_Value):
 
     @cached_property
     def _frame(self) -> tuple:
-        """(D, hi D, (hi - lo) D, the legs 2 a_j D), D the lcm of every center's and
-        half-width's denominator: the integers every exact constant below is made of."""
+        """(h, hi h, (hi - lo) h, the legs 2 a_j h), the integers every exact constant below
+        is made of, over h = D / gcd(D, hi D, every leg D), D the lcm of every center's and
+        half-width's denominator: the least denominator of hi and every leg."""
         comps = self.components
         common = math.lcm(*(v.denominator for c in comps for v in (c.center, c.half_width)))
         legs = [2 * c.half_width.numerator * (common // c.half_width.denominator) for c in comps]
         centers = sum(c.center.numerator * (common // c.center.denominator) for c in comps)
-        return common, centers + sum(legs) // 2, sum(legs), legs
+        g = math.gcd(common, hi := centers + sum(legs) // 2, *legs)
+        return common // g, hi // g, sum(legs) // g, [leg // g for leg in legs]
 
     @cached_property
     def _lo(self) -> Fraction:
@@ -648,16 +642,9 @@ class ContinuousSum(_Value):
         return VertexMeasure(self._frame[3], self._frame[0], self.n)
 
     @cached_property
-    def _origin(self) -> tuple:
-        """(h, hi h, (hi - lo) h) from the frame, h the lcm of den and hi's denominator."""
-        h = math.lcm(self._measure.den, self._hi.denominator)
-        common, hi, width, _ = self._frame
-        return h, hi // (common // h), width // (common // h)
-
-    @cached_property
     def _polys(self) -> dict:
         """exponent -> the density's (n - 1) or the CDF's (n) monomial over its norm,
-        e! 2^n prod_j a_j = e! prod_j legs / D^n, as VertexMeasure.sum takes it."""
+        e! 2^n prod_j a_j = e! prod_j legs / h^n, as VertexMeasure.sum takes it."""
         legs, power = math.prod(self._frame[3]), self._frame[0] ** self.n
         return {e: (((e, 1),), Fraction(math.factorial(e) * legs, power))
                 for e in (self.n - 1, self.n)}
@@ -689,7 +676,7 @@ class ContinuousSum(_Value):
 
     def _start(self, num: int, d: int) -> tuple:
         """(s, w, scale): x - hi = s / scale, hi - lo = w / scale at x = num / d."""
-        h, hi, width = self._origin
+        h, hi, width, _ = self._frame
         scale = math.lcm(h, d)
         k = scale // h
         return num * (scale // d) - hi * k, width * k, scale
@@ -859,7 +846,7 @@ class ContinuousSum(_Value):
 
         n, (keys, exact) = self.n, self._rows
         weights, den = self._measure.full[1], self._measure.den
-        scale, shift, _ = self._origin
+        scale, shift, _, _ = self._frame
         descending, half = keys[::-1], len(exact)
         knots, residuals = [], []
         for k in descending[:half] + descending[-half:]:

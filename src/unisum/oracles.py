@@ -23,6 +23,7 @@ from .errors import CapacityError
 
 __all__ = [
     "csc_series_oracle",
+    "csc_series_rows",
     "discrete_conv_oracle",
     "continuous_conv_oracle",
     "check_points",
@@ -39,16 +40,21 @@ DISCRETE_ORACLE_CAP = 10 ** 7
 # Truncated power series
 # ---------------------------------------------------------------------------
 
-def csc_series_oracle(n: int, K: int) -> list[Fraction]:
-    """First K+1 Laurent coefficients of (1/sin x)^n, by series arithmetic.
+def _truncated_product(p: list, q: list) -> list:
+    """The first len(p) coefficients of the product of the power series p and q."""
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(len(p))]
+
+
+def csc_series_rows(N: int, K: int):
+    """Yield the first K+1 Laurent coefficients of (1/sin x)^n for n = 1, ..., N.
 
     Expands s(x) = sin(x)/x = sum_r (-1)^r x^(2r) / (2r+1)!, inverts it by
-    the standard recurrence and raises the inverse to the n-th power by n
-    truncated multiplications, all as lists of the coefficients of x^(2r).
+    the standard recurrence and multiplies one running power by the inverse,
+    one truncated product per n, all as lists of the coefficients of x^(2r).
     Since (1/sin x)^n = x^(-n) (x/sin x)^n, the coefficients of s^(-n) are
     exactly the wanted Laurent coefficients.
     """
-    if n < 1:
+    if N < 1:
         raise ValueError("n must be >= 1")
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -57,9 +63,16 @@ def csc_series_oracle(n: int, K: int) -> list[Fraction]:
     for k in range(1, K + 1):
         inverse.append(-sum(sinc[i] * inverse[k - i] for i in range(1, k + 1)))
     power = [Fraction(1)] + [Fraction(0)] * K
-    for _ in range(n):
-        power = [sum(power[i] * inverse[k - i] for i in range(k + 1)) for k in range(K + 1)]
-    return power
+    for _ in range(N):
+        power = _truncated_product(power, inverse)
+        yield power
+
+
+def csc_series_oracle(n: int, K: int) -> list[Fraction]:
+    """First K+1 Laurent coefficients of (1/sin x)^n: the last row of csc_series_rows(n, K)."""
+    for row in csc_series_rows(n, K):
+        pass
+    return row
 
 
 # ---------------------------------------------------------------------------

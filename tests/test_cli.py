@@ -386,12 +386,13 @@ class TestCoeffs:
         assert code == 0
         assert calls == [(n, 4) for n in range(1, 6)]
 
-    # the last admitted and the first refused (N, K): wide, long, and by the count N (K + 1)
+    # the last admitted and the first refused (N, K) of the work N (K + 1) (K^2 + 44 K + 60) / 2:
+    # wide, long, and rows of two coefficients and of one, which the count N (K + 1) never bounds
     @pytest.mark.parametrize("admitted, refused, message", [
-        ((20000, 10), (20001, 10), "N K^3 = 20001000 exceed the limit of 20000000"),
-        ((1, 271), (1, 272), "N K^3 = 20123648 exceed the limit of 20000000"),
-        ((500000, 1), (500001, 1), "1000002 coefficients exceed the limit of 1000000"),
-        ((10 ** 6, 0), (10 ** 6 + 1, 0), "1000001 coefficients exceed the limit of 1000000"),
+        ((6060, 10), (6061, 10), "= 20001300 exceed the limit of 20000000"),
+        ((1, 327), (1, 328), "= 20081502 exceed the limit of 20000000"),
+        ((190476, 1), (190477, 1), "= 20000085 exceed the limit of 20000000"),
+        ((666666, 0), (666667, 0), "= 20000010 exceed the limit of 20000000"),
     ])
     @pytest.mark.parametrize("command", [["coeffs"], ["verify", "--suite", "coeffs"]])
     def test_bound(self, capsys, monkeypatch, admitted, refused, message, command):
@@ -418,6 +419,16 @@ class TestVerify:
                            "--n-max", "3", "--k-max", "2")
         assert code == 0
         assert "b(n=3, k=1) = 1/2" in out
+
+    def test_one_series_product_per_n(self, capsys, monkeypatch):
+        from unisum import oracles
+
+        real, sizes = oracles._truncated_product, []
+        monkeypatch.setattr(oracles, "_truncated_product",
+                            lambda p, q: sizes.append(len(p)) or real(p, q))
+        code, _, _ = run(capsys, "verify", "--suite", "coeffs", "--n-max", "7", "--k-max", "4")
+        assert code == 0
+        assert sizes == [5] * 7
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         real = discsum._csc_row

@@ -267,14 +267,16 @@ class TestQuantile:
 
 
 # models whose exact constants come from the integer frame: generic doubles,
-# decimal strings, denominators 3 and 7, negative centers and identical legs
+# decimal strings, denominators 3 and 7, negative centers, identical legs and
+# centers that cancel, which leave hi and the legs a denominator far below D
 _sevenths = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 7, 21]))
 _frame_pairs = st.one_of(
     st.tuples(helpers.generic_centers, helpers.generic_widths),
     st.tuples(st.decimals(-5, 5, places=3).map(str),
               st.decimals("0.001", 5, places=3).map(str)),
     st.tuples(_sevenths, _sevenths.filter(lambda a: a > 0)),
-    st.tuples(_sevenths.map(lambda c: -abs(c) - 1), st.one_of(helpers.widths, helpers.generic_widths)))
+    st.tuples(_sevenths.map(lambda c: -abs(c) - 1), st.one_of(helpers.widths, helpers.generic_widths)),
+    st.tuples(st.sampled_from([1e-300, -1e-300, F(1, 3), F(-1, 3)]), helpers.widths))
 _frame_models = st.one_of(
     st.lists(_frame_pairs, min_size=1, max_size=8),
     st.builds(lambda pair, n: [pair] * n, _frame_pairs, st.integers(1, 8)))
@@ -293,8 +295,8 @@ class TestFrame:
         assert (s._lo, s._hi) == (lo, hi) == s.support()
         assert s._measure.den == den
         assert s._measure.steps == Counter(leg.numerator * (den // leg.denominator) for leg in legs)
-        assert s._origin == (h, hi * h, (hi - lo) * h)
-        assert all(type(v) is int for v in s._origin)
+        assert s._frame == (h, hi * h, (hi - lo) * h, [leg * h for leg in legs])
+        assert all(type(v) is int for v in (*s._frame[:3], *s._frame[3]))
         widths = math.prod(c.half_width for c in comps)
         for e in (n - 1, n):
             assert s._polys[e] == (((e, 1),), math.factorial(e) * 2 ** n * widths)

@@ -22,6 +22,7 @@ from unisum.oracles import (
     check_points,
     continuous_conv_oracle,
     csc_series_oracle,
+    csc_series_rows,
     discrete_conv_oracle,
     ks_critical_1pct,
     ks_statistic,
@@ -48,6 +49,11 @@ class TestCscSeriesOracle:
             coeffs = csc_series_oracle(n, 8)
             approx = sum(float(b) * x ** (2 * k - n) for k, b in enumerate(coeffs))
             assert approx == pytest.approx((1.0 / math.sin(x)) ** n, rel=1e-12)
+
+    def test_rows_equal_the_oracle(self):
+        for K in range(9):
+            rows = list(csc_series_rows(12, K))
+            assert rows == [csc_series_oracle(n, K) for n in range(1, 13)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
