@@ -22,10 +22,11 @@ components whose sign is +1, the parity weights of all vertices with the
 same argument add up to one coefficient of prod_j (z^(2 a_j) - 1), the
 box-spline view of de Boor, Hollig and Riemenschneider (Box Splines, 1993).
 Each model holds that merged signed vertex measure as a VertexMeasure, and
-every closed form in the package is the tau sum over it of one polynomial
-of the model, over one norm (VertexMeasure.sum): y^(n-1) and y^n over
-e! 2^n prod_j a_j for the density and the CDF, and the Laurent polynomial
-of the discrete PMF (discsum).  Tau is the only step form the engine knows.
+every closed form in the package is the tau sum over it of one monomial,
+over one norm (VertexMeasure.sum): y^(n-1) and y^n over e! 2^n prod_j a_j
+for the density and the CDF.  The discrete PMF (discsum) is the sum of one
+falling factorial (x)_(n-1) over the lattice arguments x >= 0 instead.  Tau
+is the only step form the engine knows.
 
 The mirror identity.  With K the sum of the legs, the weight of key K - k
 is (-1)^n times that of key k.  As y^e = y_+^e + (-1)^e (-y)_+^e exactly,
@@ -47,8 +48,8 @@ and the sum runs over A only, against suffix moments of B (powers of B's
 keys summed from each position on, cached up to the model's top exponent)
 that one bisection per entry of A locates.  Three splits are used:
 
-* Direct loop (B trivial): one power per entry of the whole merged measure
-  and term of the polynomial, nothing built but the measure.  It answers
+* Direct loop (B trivial): one power (or falling factorial) per entry of the
+  whole merged measure, nothing built but the measure.  It answers
   the first points of commensurate widths, and every point of models whose
   table would answer no faster, such as n identical components.
 * Meet in the middle (Horowitz and Sahni, 1974): the distinct legs split
@@ -56,7 +57,7 @@ that one bisection per entry of A locates.  Three splits are used:
   the larger one tabulated.  It answers generic widths, whose 2^n vertices
   never merge, from halves of about 2^(n/2) entries each.
 * Moment table (A trivial): the whole merged measure with its moments, one
-  bisection and one Horner pass of deg g per point (see the point path).
+  bisection and one Horner pass of e + 1 steps per point (see the point path).
   It answers models asked enough points to pay for it, such as commensurate
   widths (widths on a 1/8 grid leave far fewer than 2^n entries).
 
@@ -76,15 +77,15 @@ rounds the exact value at the double nearest to x once (EvalResult).  A
 point x = num / d is one integer pass: x - hi and hi - lo are integers s
 and w over scale = lcm(d, h) (ContinuousSum._start); s > 0 lies past the
 support, s + w < 0 below it, and -s - w is the mirrored start.
-VertexMeasure.sum takes the polynomial at that scale from a plan cached by
-value (_plan) and makes one integer pass over A: one power per entry and
-term on the direct loop, else one loop over B's rows, one Horner pass per
-entry against its row (a polynomial of several terms, the PMF, reads its
-fold into the row, made once and kept); it divides once, in its only
-Fraction.  Once a batch path has kept the exact CDF rows
-(ContinuousSum._rows), a quantile step is one bisection of the keys, one
-integer Horner pass on a row or on its mirror's, and one integer comparison
-with q, with no Fraction.
+VertexMeasure.sum takes the monomial's row C(e, j) m^j at that scale from a
+plan cached by value (_plan) and makes one integer pass over A: one power
+per entry on the direct loop, else one loop over B's rows, one Horner pass
+per entry against its row; it divides once, in its only Fraction.  A PMF
+point is the same pass at scale 1, with math.perm for the power and
+Newton's form for the Horner pass.  Once a batch path has kept the exact
+CDF rows (ContinuousSum._rows), a quantile step is one bisection of the
+keys, one integer Horner pass on a row or on its mirror's, and one integer
+comparison with q, with no Fraction.
 
 What each path may build and do is bounded by the capacity rule stated
 once above MEASURE_MAX in errors.py.
@@ -327,18 +328,21 @@ def _vertex_measure(steps: dict) -> tuple:
     return keys, tuple(weight[k] for k in keys)
 
 
-def _suffix_moments(keys: tuple, weights: tuple, top: int) -> list:
-    """rows[i][j] = sum over t >= i of weights[t] * keys[t]**j, for j <= top.
-
-    rows has len(keys) + 1 entries; the last is all zeros.
-    """
+def _suffix_moments(keys: tuple, weights: tuple, top: int, lattice: bool) -> list:
+    """rows[i][j] = sum over t >= i of weights[t] * keys[t]**j, for j <= top, or on a
+    lattice of weights[t] C(top, j) (keys[t])_j; len(keys) + 1 rows, the last all zeros."""
     acc = [0] * (top + 1)
     rows = [tuple(acc)]
     for k, w in zip(reversed(keys), reversed(weights)):
         p = w
-        for j in range(top + 1):
-            acc[j] += p
-            p *= k
+        if lattice:  # p = w C(top, j) (k)_j, each step an exact division
+            for j in range(top + 1):
+                acc[j] += p
+                p = p * (k - j) * (top - j) // (j + 1)
+        else:
+            for j in range(top + 1):
+                acc[j] += p
+                p *= k
         rows.append(tuple(acc))
     rows.reverse()
     return rows
@@ -374,28 +378,29 @@ class VertexMeasure:
     The legs are positive integers over a common denominator, which one gcd
     reduces to the steps over den; a key k stands for the argument offset
     k / den.  top is the largest exponent the model evaluates.  sum()
-    evaluates the tau sum of a polynomial g(y) = sum_e c_e y^e over the
-    measure, factored as A (x) B by splitting the legs in two:
+    evaluates the tau sum of one monomial y^e over the measure, factored as
+    A (x) B by splitting the legs in two:
 
-        sum_a w_a sum_e c_e sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
+        sum_a w_a sum_j C(e, j) (s + m a)^(e-j) m^j S^B_j[pos(a)],
 
     where S^B_j[i] = sum over t >= i of w_t k_t^j are B's suffix moments, up
-    to top, and pos(a) is one bisection of B's keys.  _plans tabulates the three
-    splits once, and _choose picks one by it.
+    to top, and pos(a) is one bisection of B's keys.  A lattice measure sums
+    the falling factorial (x)_e over x >= 0 instead: as (x + y)_e =
+    sum_j C(e, j) (x)_(e-j) (y)_j, its S^B_j hold (k_t)_j, prescaled by
+    C(top, j) for e = top alone.  _plans tabulates the three splits once,
+    and _choose picks one by it.
 
     Instances are built lazily and cache what they build.  The choice of a
     path, its build and the count of terms summed share one lock, so threads
-    sharing a model build each path once and drop it once; the sums and the
-    rows they fold (two threads folding one row write equal tuples) run
-    outside it.  The path decides which exact evaluation answers, never the value.
+    sharing a model build each path once and drop it once; the sums, outside
+    it, only read.  The path decides which exact evaluation answers, never the value.
     """
 
-    def __init__(self, legs: list[int], den: int, top: int):
+    def __init__(self, legs: list[int], den: int, top: int, lattice: bool = False):
         g = math.gcd(den, *legs)
         self.den = den // g
         self.steps = Counter(leg // g for leg in legs)
-        self.n = len(legs)
-        self.top = top
+        self.n, self.top, self.lattice = len(legs), top, lattice
         self._parts = {}
         self._path = None  # the path that answers, once _choose has run
         self._spent = 0    # terms summed so far, on any path
@@ -440,13 +445,12 @@ class VertexMeasure:
         self._check(min(entries.values()), "a vertex sum")
         return [path for path, size in entries.items() if size <= MEASURE_MAX]
 
-    def _costs(self, path: str, exponents: tuple = ()) -> tuple:
+    def _costs(self, path: str, e: int | None = None) -> tuple:
         """(terms still to build, terms of one point) of a path that fits.
 
-        A point of a polynomial with these exponents (by default the top
-        monomial) costs _terms per entry of A; a built entry or moment is one
-        term.  What is cached is free: a built path, and the whole measure
-        once breakpoints() or a batch path has made it.
+        A point of exponent e (by default top) costs _terms per entry of A; a
+        built entry or moment is one term.  What is cached is free: a built path,
+        and the whole measure once breakpoints() or a batch path has made it.
         """
         _, _, size_a, build = self._plans[path]
         whole = self.__dict__.get("full")
@@ -454,12 +458,12 @@ class VertexMeasure:
             size_a, build = (len(whole[0]), 0) if whole else (size_a, size_a)
         elif path == _TABLE and whole:  # A's one entry and the moments of the cached B
             build = 1 + len(whole[0]) * (self.top + 1)
-        point = size_a * _terms(path == _DIRECT, exponents or (self.top,))
+        point = size_a * _terms(path == _DIRECT, self.top if e is None else e)
         return (0 if path in self._parts else build), point
 
-    def _choose(self, terms: tuple = ()) -> str:
-        """The path the next sum of a polynomial with these terms takes (by
-        default the top monomial); CapacityError if none fits.
+    def _choose(self, e: int | None = None) -> str:
+        """The path the next sum of exponent e (by default top) takes;
+        CapacityError if none fits.
 
         Rent or buy over the admitted paths: the first sum takes the cheapest
         point plus build; a later one, of the paths whose remaining build the
@@ -471,8 +475,7 @@ class VertexMeasure:
         """
         if self._spent < self._due:
             return self._path
-        exponents = tuple(e for e, _ in terms)
-        costs = {path: self._costs(path, exponents) for path in self._admitted()}
+        costs = {path: self._costs(path, e) for path in self._admitted()}
         current = self._path
         if current is None:
             path = min(costs, key=lambda p: sum(costs[p]))
@@ -492,87 +495,70 @@ class VertexMeasure:
         if parts is None:
             a, b, _, entries = self._plans[path]
             if not b:
-                parts = (*self.full, None, None, None)
+                parts = (*self.full, None, None)
             else:
                 self._check(entries, "a vertex measure and moment table")
                 a_keys, a_weights = _vertex_measure(a)
                 b_keys, b_weights = self.full if not a else _vertex_measure(b)
                 parts = (a_keys, a_weights, b_keys,
-                         _suffix_moments(b_keys, b_weights, self.top), [None, None, None])
+                         _suffix_moments(b_keys, b_weights, self.top, self.lattice))
             self._parts[path] = parts
         return parts
 
-    def sum(self, s: int, scale: int, poly: tuple) -> Fraction:
-        """sum over the measure of w * g_+(s / scale + key / den), over a divisor, exactly.
+    def sum(self, s: int, scale: int, e: int, divisor) -> Fraction:
+        """sum over the measure of w y_+^e, y = s / scale + key / den, over divisor, exactly.
 
         Every density, CDF and PMF point is this one call (the point path of
-        the module docstring): s an integer, scale a multiple of den, so a
-        key adds m = scale / den to s, and poly (terms, divisor), g's pairs
-        (exponent <= top, integer coefficient) and a positive rational.
-        g_+(y) is g(y) tau(y), tau(0) = 1/2: a zero argument takes half of
-        g's constant term.  Over scale^degree the sum is one integer; the
-        arguments ascend with the keys, so bisection locates the zero ones.
-        The table and the split share one loop over B's rows: a monomial multiplies
-        its row of C(e, j) m^j into B's in the Horner pass, a g of several terms reads
-        its fold into the row, made once and kept for one g at one scale (folds).
+        the module docstring): s an integer, scale a multiple of den, so a key
+        adds m = scale / den to s, and e <= top.  y_+^e is y^e tau(y), so a
+        zero argument counts half at e = 0.  On a lattice the term is (x)_e at
+        x = s + key >= 0, scale 1 and e = top.  Over scale^e the sum is one
+        integer.  The table and the split share one loop over B's rows: one
+        Horner pass per entry of A, in Newton's form on a lattice.
         """
-        terms, divisor = poly
         m = scale // self.den
         with self._lock:
-            a_keys, a_weights, b_keys, rows, kept = self._build(self._choose(terms))
-            if kept and len(terms) > 1 and kept[:2] != [terms, scale]:
-                kept[:] = terms, scale, [None] * len(rows)  # one polynomial at one scale
-            folds = kept[2] if kept and len(terms) > 1 else None
-            count, const, terms, folded, denominator = _plan(terms, scale, m, rows is not None)
-            self._spent += len(a_keys) * count
-        if rows is None:  # one power per entry and term
-            pos = bisect_right(a_keys, (-s) // m)  # keys from pos on have arguments > 0
-            twice = const * sum(a_weights[bisect_left(a_keys, -(s // m)):pos])
-            for e, c in terms:
-                twice += 2 * c * sum(w * (s + m * k) ** e
-                                     for k, w in zip(a_keys[pos:], a_weights[pos:]))
+            a_keys, a_weights, b_keys, rows = self._build(self._choose(e))
+            self._spent += len(a_keys) * _terms(rows is None, e)
+        lattice, (coefs, denominator) = self.lattice, _plan(e, scale, m)
+        below, half = (-s) // m - lattice, not (e or lattice)  # keys > below: y > 0 or x >= 0
+        if rows is None:  # one power or falling factorial per entry
+            pos = bisect_right(a_keys, below)
+            terms = zip(a_keys[pos:], a_weights[pos:])
+            twice = 2 * (sum(w * math.perm(s + k, e) for k, w in terms) if lattice
+                         else sum(w * (s + m * k) ** e for k, w in terms))
+            twice += half * sum(a_weights[bisect_left(a_keys, -(s // m)):pos])
             return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
-        twice, zero, below = 0, rows[-1], (-s) // m  # (-t) // m is below - a
+        twice, zero = 0, rows[-1]
         for a, w in zip(a_keys, a_weights):
-            row = rows[i := bisect_right(b_keys, below - a)]  # B's args from row i on are > 0
+            row = rows[bisect_right(b_keys, below - a)]  # B's keys from this row on count
             t, acc = s + m * a, 0
-            if const:
-                twice += const * w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
+            if half:
+                twice += w * (rows[bisect_left(b_keys, -(t // m))][0] - row[0])
             if row is zero:
                 continue
-            if folds is None:  # a monomial: its row of c C(e, j) m^j times B's, one Horner pass
-                for c, v in zip(folded[0], row):
+            if lattice:  # Newton's form: sum_j row[j] (t)_(e - j)
+                for f, v in enumerate(row, t - e):
+                    acc = acc * f + v
+            else:  # sum_j C(e, j) m^j row[j] t^(e - j)
+                for c, v in zip(coefs, row):
                     acc = acc * t + c * v
-            else:
-                q = folds[i]
-                if q is None:  # g folded into row i: its coefficients in t, highest first
-                    q = [0] * max(map(len, folded))
-                    for coef in folded:
-                        for j, (c, v) in enumerate(zip(coef, row), len(q) - len(coef)):
-                            q[j] += c * v
-                    folds[i] = q = tuple(q)
-                for c in q:  # one Horner pass in t for all of g
-                    acc = acc * t + c
             twice += 2 * w * acc
         return Fraction(twice * divisor.denominator, denominator * divisor.numerator)
 
 
-def _terms(direct: bool, exponents: tuple) -> int:
-    """Terms an entry of A sums: one per term on the direct loop, else e + 1 per term."""
-    return len(exponents) if direct else sum(exponents) + len(exponents)
+def _terms(direct: bool, e: int) -> int:
+    """Terms an entry of A sums at exponent e: e + 1 Horner steps against its row, or
+    one on the direct loop, whose power or falling factorial (one math.perm call, as
+    one ** is) counts as one term."""
+    return 1 if direct else e + 1
 
 
 @lru_cache(maxsize=64)
-def _plan(terms: tuple, scale: int, m: int, folded: bool) -> tuple:
-    """What VertexMeasure.sum needs of g's terms at one scale, cached by value: the
-    _terms an entry of A counts, g's constant term, the terms (e, c scale^(degree - e)),
-    their rows c C(e, j) m^j (j <= e) if folded, else None, and 2 scale^degree."""
-    exponents = tuple(e for e, _ in terms)
-    degree = max(exponents)
-    terms = tuple((e, c * scale ** (degree - e)) for e, c in terms)
-    rows = tuple(tuple(c * math.comb(e, j) * m ** j for j in range(e + 1))
-                 for e, c in terms) if folded else None
-    return _terms(not folded, exponents), dict(terms).get(0, 0), terms, rows, 2 * scale ** degree
+def _plan(e: int, scale: int, m: int) -> tuple:
+    """What VertexMeasure.sum needs of y^e at one scale, cached by value: the row
+    C(e, j) m^j (j <= e) that a Horner pass multiplies into B's, and 2 scale^e."""
+    return tuple(math.comb(e, j) * m ** j for j in range(e + 1)), 2 * scale ** e
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +628,11 @@ class ContinuousSum(_Value):
         return VertexMeasure(self._frame[3], self._frame[0], self.n)
 
     @cached_property
-    def _polys(self) -> dict:
-        """exponent -> the density's (n - 1) or the CDF's (n) monomial over its norm,
-        e! 2^n prod_j a_j = e! prod_j legs / h^n, as VertexMeasure.sum takes it."""
+    def _norms(self) -> dict:
+        """exponent -> the norm of the density's (n - 1) or the CDF's (n) monomial,
+        e! 2^n prod_j a_j = e! prod_j legs / h^n, the divisor VertexMeasure.sum takes."""
         legs, power = math.prod(self._frame[3]), self._frame[0] ** self.n
-        return {e: (((e, 1),), Fraction(math.factorial(e) * legs, power))
-                for e in (self.n - 1, self.n)}
+        return {e: Fraction(math.factorial(e) * legs, power) for e in (self.n - 1, self.n)}
 
     # -- simple statistics -------------------------------------------------
 
@@ -695,7 +680,7 @@ class ContinuousSum(_Value):
         sums, key = self._sums, (s, scale, exponent)
         value = sums.get(key)
         if value is None:  # two threads that both miss store equal values
-            value = self._measure.sum(s, scale, self._polys[exponent])
+            value = self._measure.sum(s, scale, exponent, self._norms[exponent])
             if len(sums) >= 8:
                 sums.clear()
             sums[key] = value
@@ -748,8 +733,8 @@ class ContinuousSum(_Value):
         exact-arithmetic test hook.  Inputs must be finite rationals.
         """
         s, w, scale = self._start(*_point(x, EXACT))
-        raw = (((self.n - 1, 1),), 1)
-        return self._measure.sum(s, scale, raw) - self._measure.sum(-s - w, scale, raw)
+        e = self.n - 1
+        return self._measure.sum(s, scale, e, 1) - self._measure.sum(-s - w, scale, e, 1)
 
     def quantile(self, q) -> float:
         """Smallest x with cdf(x) ~ q, by bisection on the support.
@@ -776,7 +761,7 @@ class ContinuousSum(_Value):
             return lo
         if qf == 1:
             return hi
-        rows, norm = "_rows" in self.__dict__, self._polys[self.n][1]
+        rows, norm = "_rows" in self.__dict__, self._norms[self.n]
         d = norm.denominator * qf.denominator  # cdf < q: V d < a scale^n, or b scale^n < V d
         a, b = qf.numerator * norm.numerator, (qf.denominator - qf.numerator) * norm.numerator
         half_tol = (0.5 * hi - 0.5 * lo) * 2.0 ** -40
@@ -860,7 +845,7 @@ class ContinuousSum(_Value):
         # Each column is (index into c + (left top,), numerator, denominator) in
         # lowest terms, which rounds the same quotients from smaller integers:
         # the CDF's n + 1 columns and left top, then the density's n and left top.
-        u, norm = self._unit, self._polys[n][1]
+        u, norm = self._unit, self._norms[n]
         cdf = [(r, u.numerator ** r * norm.denominator,
                 u.denominator ** r * den ** (n - r) * norm.numerator) for r in range(n + 1)]
         density = [(r, r * u.numerator ** (r - 1) * norm.denominator,

@@ -14,23 +14,28 @@ replaces tau by the sign function and 2^(n-1) by 2^n; by the mirror
 identity of the contsum module docstring it is the mean of the tau form at
 p and at -p.
 
-The sum over k is one polynomial of the model,
-g(y) = sum_k (-1)^k B(n, k) y^(n-2k-1) / (n-2k-1)!, so a PMF point is one
-tau sum of g_+ over the model's VertexMeasure, divided once by its norm.
-g is the central factorial polynomial
+The sum over k is one polynomial, the central factorial polynomial
 
-    g(y) = prod_{i=1}^{n-1} (y + n - 2i) / (n - 1)!
+    g(y) = sum_k (-1)^k B(n, k) y^(n-2k-1) / (n-2k-1)! = prod_{i=1}^{n-1} (y + n - 2i) / (n - 1)!
 
 (Riordan, Combinatorial Identities, 1968, ch. 6; Butzer, Schmidt, Stark and
-Vogt, Numer. Funct. Anal. Optim. 10, 1989), so DiscreteSum._laurent expands
-it from its roots 0, +-2, +-4, ... (n even) or +-1, +-3, ... (n odd) in
-integers and needs no B(n, k).  csc_coefficient keeps the paper's B(n, k)
-by Miller's recurrence, one row of n up to k per call; coeffs reads whole
-rows.  The tests check _laurent against the power-series oracle, and
-csc_coefficient against it and the paper's explicit triple sum.
+Vogt, Numer. Funct. Anal. Optim. 10, 1989).  Every vertex argument has the
+parity of n, y = 2u - n for an integer u, and there g(2u - n) =
+2^(n-1) C(u - 1, n - 1), which vanishes at u = 1, ..., n - 1 and so at
+every y <= 0 with u >= 1.  The tau sum over y > 0 is thus the sum over
+x = u - 1 >= 0, the inclusion-exclusion count of the ways to write p + span
+(span = sum_j m_j) as n parts, part j in [0, 2 m_j]:
 
-Everything here is computed in exact rational arithmetic: the inputs are
-integers, the Laurent coefficients are rationals, and the alternating
+    g_n(p) = M sum_eps prod_j eps_j C(x_eps, n - 1) over x_eps >= 0,
+
+x_eps = p - span - 1 plus the 2 m_j + 1 of each j with eps_j = +1.  A PMF
+point is one sum of the falling factorial (x)_(n-1) over the model's lattice
+VertexMeasure, of legs 2 m_j + 1, divided once by (n - 1)! prod_j (2 m_j + 1);
+it reads no B(n, k).  csc_coefficient keeps the paper's B(n, k), by
+Miller's recurrence, for the coeffs command and the library's users; the
+tests check it against the power-series oracle and the paper's triple sum,
+and the paper's sum over k, with B(n, k) from the oracle, against
+2^(n-1) C(u - 1, n - 1).  Everything here is exact: the alternating
 structure makes floating point useless at these sizes.
 """
 
@@ -75,9 +80,9 @@ def csc_coefficient(n: int, k: int) -> Fraction:
 
     B(n, 0) = 1, B(1, 1) = 1/6, ...  A call makes the row of n up to k anew
     (_csc_row), so a loop over k pays one row per call; coeffs reads whole
-    rows.  The PMF does not read it: its Laurent sum over k is the central
-    factorial polynomial of the module docstring.  n >= 1 and k >= 0 must be
-    ints, not bools; anything else is a ValueError.
+    rows.  The PMF does not read it: its Laurent sum over k is a binomial on
+    the lattice (module docstring).  n >= 1 and k >= 0 must be ints, not
+    bools; anything else is a ValueError.
     """
     return _csc_row(_whole(n, "n", 1), _whole(k, "k", 0) + 1)[k]
 
@@ -146,42 +151,27 @@ class DiscreteSum(_Value):
 
     @cached_property
     def _measure(self) -> VertexMeasure:
-        """Vertex measure in arguments 2p - sum_j (2 m_j + 1) + key: legs 2 (2 m_j + 1),
-        up to the largest exponent n - 1."""
-        return VertexMeasure([2 * c.count for c in self.components], 1, self.n - 1)
+        """Lattice vertex measure in arguments p - span - 1 + key: legs 2 m_j + 1, the
+        falling factorial of exponent n - 1."""
+        return VertexMeasure([c.count for c in self.components], 1, self.n - 1, lattice=True)
 
     @cached_property
-    def _laurent(self) -> tuple:
-        """The PMF's g(y) = prod_{i=1}^{n-1} (y + n - 2i) / (n - 1)! over its norm, as
-        VertexMeasure.sum takes it: the integer coefficients of
-        y^[n even] prod_{r = n-2, n-4, ... > 0} (y^2 - r^2) over their gcd G, from
-        y^(n-1) down, and the divisor (n - 1)! 2^(n - 1) / (G M).  The O(n^2)
-        expansion runs only once the capacity rule has admitted the model."""
-        n = self.n
-        self._measure._admitted()  # the capacity check: CapacityError before the expansion
-        coefs = [1]  # of y^0, y^2, ... in the product over r
-        for r in range(n - 2, 0, -2):
-            coefs = [a - r * r * b for a, b in zip([0] + coefs, coefs + [0])]
-        g = math.gcd(*coefs)
-        terms = tuple((n - 1 - 2 * k, c // g) for k, c in enumerate(reversed(coefs)))
-        return terms, Fraction(math.factorial(n - 1) * 2 ** (n - 1), g) / self.mass_norm
+    def _divisor(self) -> int:
+        """(n - 1)! prod_j (2 m_j + 1), which the lattice sum of (x)_(n-1) is over."""
+        return math.factorial(self.n - 1) * self.mass_norm.denominator
 
     def _pmf(self, point: int) -> Fraction:
-        """0 off [-span, span]; else one tau sum of the PMF polynomial, at start
-        2 point - sum_j (2 m_j + 1).
-
-        The vertex arguments are integers of the parity of n, so no zero
-        argument meets the constant term (that needs odd n, whose arguments
-        are odd)."""
+        """0 off [-span, span]; else one lattice sum of (x)_(n-1) / (n - 1)! over
+        x = point - span - 1 + key >= 0, times M."""
         if abs(point) > self.span:
             return Fraction(0)
-        return self._measure.sum(2 * (point - self.span) - self.n, 1, self._laurent)
+        return self._measure.sum(point - self.span - 1, 1, self.n - 1, self._divisor)
 
     # -- public operations ---------------------------------------------------
 
     def pmf_tau(self, p: int) -> Fraction:
         """P(S = p) via the step-function form, as an exact rational, summed at
-        -|p|: the PMF is even, and fewer arguments are positive left of the center.
+        -|p|: the PMF is even, and fewer lattice arguments are >= 0 left of the center.
 
         p must be integral (an int other than a bool, or a float or Fraction
         equal to one); anything else raises ValueError.

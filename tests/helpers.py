@@ -123,8 +123,8 @@ def assert_identical_components_work():
 
 
 def monomial(e: int) -> tuple:
-    """y^e over the divisor 1, as VertexMeasure.sum takes a polynomial."""
-    return ((e, 1),), 1
+    """(e, 1): y^e over the divisor 1, as tau_sum passes it to VertexMeasure.sum."""
+    return e, 1
 
 
 def forced(model, path):
@@ -135,10 +135,11 @@ def forced(model, path):
 
 
 def tau_sum(measure, start, poly) -> Fraction:
-    """measure.sum at a rational start, as an integer over the least scale den divides."""
+    """measure.sum of poly = (exponent, divisor) at a rational start, as an integer
+    over the least scale den divides."""
     start = Fraction(start)
     scale = math.lcm(measure.den, start.denominator)
-    return measure.sum(start.numerator * (scale // start.denominator), scale, poly)
+    return measure.sum(start.numerator * (scale // start.denominator), scale, *poly)
 
 
 # brute-force vertex enumeration ---------------------------------------------
@@ -179,6 +180,17 @@ def brute_continuous(pairs, x, what: str) -> Fraction:
     if pow2 is None:
         return raw
     return raw / (math.factorial(exponent) * 2 ** pow2 * math.prod(avec))
+
+
+def brute_lattice_sum(start: int, counts, e: int) -> int:
+    """sum over eps in {-1,1}^n of prod_j eps_j (x)_e over x >= 0, where x = start plus
+    the counts whose eps_j is +1: the lattice vertex sum, one term per sign vector."""
+    total = 0
+    for eps in itertools.product((-1, 1), repeat=len(counts)):
+        x = start + sum(c for s, c in zip(eps, counts) if s > 0)
+        if x >= 0:
+            total += math.prod(eps) * math.perm(x, e)
+    return total
 
 
 def brute_olds(avec, x) -> Fraction:

@@ -260,7 +260,7 @@ class TestQuantile:
             for x in s.breakpoints() + [center, *near, lo, hi, lo - 1, hi + 1]:
                 s_, w, scale = s._start(*x.as_integer_ratio())
                 v, flag = s._row_sum(s_, w, scale)
-                value = F(v, scale ** n) / s._polys[n][1]
+                value = F(v, scale ** n) / s._norms[n]
                 assert (1 - value if flag else value) == s.cdf(x).value, x
                 mirrored.add(flag)
             assert mirrored == {False, True}
@@ -299,14 +299,15 @@ class TestFrame:
         assert all(type(v) is int for v in (*s._frame[:3], *s._frame[3]))
         widths = math.prod(c.half_width for c in comps)
         for e in (n - 1, n):
-            assert s._polys[e] == (((e, 1),), math.factorial(e) * 2 ** n * widths)
+            assert s._norms[e] == math.factorial(e) * 2 ** n * widths
 
     @given(helpers.half_range_lists(max_n=8, m_max=400))
     @settings(max_examples=40, deadline=None)
     def test_discrete_measure(self, ms):
         d = DiscreteSum.from_half_ranges(ms)
-        assert d._measure.den == 1
-        assert d._measure.steps == Counter(2 * (2 * m + 1) for m in ms)
+        # a lattice measure: legs 2 m + 1 over den 1, top exponent n - 1
+        assert d._measure.den == 1 and d._measure.lattice
+        assert d._measure.steps == Counter(2 * m + 1 for m in ms)
         assert d._measure.top == d.n - 1
 
 
@@ -627,20 +628,16 @@ class TestBruteForceReference:
         for x in (on_kink, off_kink):
             for e in (0, n - 1, n):
                 assert_mirror_identities(s, x - hi, e, x - centre, avec)
-        # a sparse polynomial with a constant term, which alone meets the zero
-        # arguments of on_kink with half its weight, summed at once
-        terms = data.draw(st.dictionaries(st.integers(1, n), st.integers(-9, 9).filter(bool),
-                                          max_size=n), label="terms")
-        terms[0] = data.draw(st.integers(-9, 9).filter(bool), label="constant")
+        # every exponent 0 ... top on every path, over a drawn divisor: at e = 0
+        # the zero arguments of on_kink take half their weight
         divisor = data.draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
                             label="divisor")
-        poly = (tuple(terms.items()), divisor)
         for x in (on_kink, off_kink):
-            want = sum(c * helpers.brute_vertex_sum(x - centre, avec, r, "tau")
-                       for r, c in terms.items()) / divisor
-            for path in PATHS:
-                measure = helpers.forced(s, path)._measure
-                assert helpers.tau_sum(measure, x - hi, poly) == want, (path, x, poly)
+            for e in range(n + 1):
+                want = helpers.brute_vertex_sum(x - centre, avec, e, "tau") / divisor
+                for path in PATHS:
+                    measure = helpers.forced(s, path)._measure
+                    assert helpers.tau_sum(measure, x - hi, (e, divisor)) == want, (path, x, e)
 
         # the [0, a_j] and identical-component forms, on one of their own
         # kinks (a subset sum of the a_j; (n - 2k) a) and off them
@@ -661,14 +658,17 @@ class TestBruteForceReference:
         assert d.pmf_tau(p) == pmf
         assert d.pmf_sign(p) == helpers.brute_pmf(ms, p, "sign")
         counts = [2 * m + 1 for m in ms]
-        measures = {path: helpers.forced(d, path)._measure for path in PATHS}
-        for path, measure in measures.items():  # the PMF's polynomial, n odd or even
-            assert measure.sum(2 * p - sum(counts), 1, d._laurent) == pmf, (path, p)
-        for e in range(len(ms) - 1, -1, -2):
-            want = helpers.brute_vertex_sum(2 * p, counts, e, "tau")
-            for path, measure in measures.items():
-                assert measure.sum(2 * p - sum(counts), 1, helpers.monomial(e)) \
-                    == want, (path, e, p)
+        start = p - d.span - 1
+        for path in PATHS:  # the PMF's falling factorial, n odd or even
+            measure = helpers.forced(d, path)._measure
+            assert measure.sum(start, 1, d.n - 1, d._divisor) == pmf, (path, p)
+        # the lattice basis at every exponent 0 ... n, each its own measure's top
+        for e in range(len(ms) + 1):
+            want = helpers.brute_lattice_sum(start, counts, e)
+            for path in PATHS:
+                measure = contsum.VertexMeasure(counts, 1, e, lattice=True)
+                measure._path, measure._due = path, math.inf
+                assert measure.sum(start, 1, e, 1) == want, (path, e, p)
         # the raw sum at e = n is not zero, so the measure needs one more exponent:
         # the continuous model of half-widths 2 m_j + 1 has the legs and top n
         model = ContinuousSum.from_pairs([(0, c) for c in counts])
@@ -796,9 +796,8 @@ class TestVertexPaths:
             ms = st.sampled_from([0, 1, 2, 5, 128, 256, 384])
             model = DiscreteSum.from_half_ranges(
                 data.draw(st.lists(ms, min_size=n, max_size=n), label="ms"))
-            exponents = tuple(e for e, _ in model._laurent[0])
             points = st.integers(-model.span - 1, model.span + 1).map(
-                lambda p: (p, "pmf_tau", exponents))
+                lambda p: (p, "pmf_tau", model.n - 1))
         else:
             width = {"generic": helpers.generic_widths, "grid": helpers.widths,
                      "identical": st.just(F(3, 8))}[kind]
@@ -809,12 +808,11 @@ class TestVertexPaths:
             lo, hi = model.support()
             points = st.tuples(st.fractions(-F(1, 8), F(9, 8), max_denominator=64),
                                st.sampled_from([("cdf", n), ("density_tau", n - 1)])).map(
-                lambda t: (lo + (hi - lo) * t[0], t[1][0], t[1][1:]))
+                lambda t: (lo + (hi - lo) * t[0], *t[1]))
         measure = model._measure
-        for x, op, exponents in data.draw(st.lists(points, min_size=1, max_size=120),
-                                          label="points"):
+        for x, op, e in data.draw(st.lists(points, min_size=1, max_size=120), label="points"):
             admitted = measure._admitted()
-            costs = {p: measure._costs(p, exponents) for p in admitted}
+            costs = {p: measure._costs(p, e) for p in admitted}
             path, spent, due = measure._path, measure._spent, measure._due
             getattr(model, op)(x)
             if measure._spent == spent:  # off the support, or asked before: no sum
@@ -864,21 +862,20 @@ class TestVertexPaths:
         assert set(generic._measure._parts) == {contsum._TABLE}
 
     @pytest.mark.parametrize("model", [_grid_model(14, 8), _generic_model(5, 7)])
-    def test_folded_rows_at_two_scales(self, model):
-        # a polynomial of several terms is folded into B's rows and kept for
-        # one scale: points on the 1/13 and 1/7 grids in turn drop and fold the
-        # rows again, and each point asked twice reads its kept fold
-        poly = (((model.n, 3), (model.n - 2, -5), (1, 7), (0, 2)), F(3, 4))
+    def test_rows_at_two_scales(self, model):
+        # B's rows serve every exponent at every scale, each sum multiplying in
+        # its own C(e, j) m^j: points on the 1/13 and 1/7 grids in turn equal
+        # the direct loop, and the parts stay the four the build made
         lo, hi = model.support()
         starts = [(lo - hi) * F(i, den) for i in range(1, 7) for den in (13, 7)]
+        polys = [(model.n, F(3, 4)), (model.n - 2, 5), (1, 7), (0, 2)]
         direct = helpers.forced(model, contsum._DIRECT)._measure
-        want = [helpers.tau_sum(direct, x, poly) for x in starts]
+        want = [[helpers.tau_sum(direct, x, poly) for poly in polys] for x in starts]
         for path in (contsum._TABLE, contsum._SPLIT):
             measure = helpers.forced(model, path)._measure
-            got = [[helpers.tau_sum(measure, x, poly) for _ in range(2)] for x in starts]
-            assert got == [[v, v] for v in want], path
-            kept = measure._parts[path][4]
-            assert kept[:2] == [poly[0], math.lcm(measure.den, starts[-1].denominator)]
+            got = [[helpers.tau_sum(measure, x, poly) for poly in polys] for x in starts]
+            assert got == want, path
+            assert len(measure._parts[path]) == 4  # A's keys and weights, B's keys and rows
 
     def test_pmf_moves_to_table(self):
         d = DiscreteSum.from_half_ranges([128, 256, 384] * 4)
@@ -1137,7 +1134,7 @@ def _assert_table_rounded_once(s):
     density its derivative in x."""
     tables = s._pieces[-1]
     keys, weights = s._measure.full
-    n, den, u, norm = s.n, s._measure.den, s._unit, s._polys[s.n][1]
+    n, den, u, norm = s.n, s._measure.den, s._unit, s._norms[s.n]
     half = (len(keys) + 1) // 2
     moments = [0] * (n + 1)
     for i, k, w in zip(range(half), reversed(keys), reversed(weights)):

@@ -216,8 +216,7 @@ class TestPmfProperties:
 
 def _counting_rows(monkeypatch):
     """Patch contsum._suffix_moments so that its rows count how often they are read
-    whole; return the count, a list of one int.  A kept fold reads no row: a
-    fold of g reads its row once per term, a monomial's Horner pass once."""
+    whole; return the count, a list of one int.  A Horner pass reads its row once."""
     real, reads = contsum._suffix_moments, [0]
 
     class Row(tuple):
@@ -230,53 +229,47 @@ def _counting_rows(monkeypatch):
     return reads
 
 
-def _folded(measure, path) -> int:
-    """The rows of path that hold a fold of the polynomial last summed there."""
-    return sum(q is not None for q in measure._parts[path][4][2] or ())
-
-
 class TestFold:
-    """The PMF polynomial folded into each row of B's moments once, and kept;
-    pmf_tau summed at -|p|."""
+    """pmf_tau folds p onto -|p|; every sum, the PMF's falling factorial on the
+    lattice too, is one monomial that reads B's rows and keeps nothing per row."""
 
     @pytest.mark.parametrize("ms", [[2], [1, 1], [1, 2, 3], [4, 0, 2, 5], [1] * 9,
                                     [3, 1, 4, 1, 5, 9, 2], [128, 256, 384] * 2])
     def test_mirror(self, ms):
-        # pmf_tau at p > 0 takes -p; the tau sum at p's own start, which
+        # pmf_tau at p > 0 takes -p; the lattice sum at p's own start, which
         # pmf_tau took before the mirror, gives the same rational
         d = DiscreteSum.from_half_ranges(ms)
-        start = {p: 2 * p - sum(c.count for c in d.components) for p in (1, d.span - 1, d.span)}
         oracle = discrete_conv_oracle(d) if d.span < 100 else None
         for path in helpers.PATHS:
             model = helpers.forced(d, path)
-            for p, s in start.items():
-                at_p = model._measure.sum(s, 1, model._laurent)
+            for p in (1, d.span - 1, d.span):
+                at_p = model._measure.sum(p - d.span - 1, 1, d.n - 1, d._divisor)
                 assert model.pmf_tau(p) == model.pmf_tau(-p) == at_p, (path, p)
                 assert oracle is None or at_p == oracle.get(p, 0), (path, p)
 
     @given(helpers.half_range_lists(max_n=6, m_max=4))
     @settings(max_examples=30, deadline=None)
     def test_kept_rows_equal_the_oracle(self, ms):
-        # each point asked twice, so the second call reads the kept fold;
-        # pmf_sign reads the rows of the other half, at p itself
+        # each point asked twice, so the second call reads the rows the first
+        # kept; pmf_sign reads the rows of the other half, at p itself
         oracle = discrete_conv_oracle(DiscreteSum.from_half_ranges(ms))
         for path in helpers.PATHS:
             d = helpers.forced(DiscreteSum.from_half_ranges(ms), path)
             for p in range(-d.span, d.span + 1):
                 assert d.pmf_tau(p) == d.pmf_tau(p) == d.pmf_sign(p) == oracle[p], (path, p)
 
-    def test_a_kept_fold_reads_no_row(self, monkeypatch):
+    def test_a_point_reads_one_row(self, monkeypatch):
+        # a table-path PMF point is one Newton pass on one row, however often
+        # that row is read, and the parts stay the four the build made
         reads = _counting_rows(monkeypatch)
         d = helpers.forced(DiscreteSum.from_half_ranges([5, 9, 2]), contsum._TABLE)
-        terms = len(d._laurent[0])  # (y^2 - 1): two terms
-        assert terms == 2
         d.pmf_tau(0)
-        assert reads[0] == terms and _folded(d._measure, contsum._TABLE) == 1
-        d.pmf_tau(-1)  # the same row as p = 0, so nothing is folded
-        assert reads[0] == terms and _folded(d._measure, contsum._TABLE) == 1
-        d.pmf_tau(-5)  # a row further out, folded once
-        d.pmf_tau(5)   # summed at -5 (at 5 itself it would read a row nearer in)
-        assert reads[0] == 2 * terms and _folded(d._measure, contsum._TABLE) == 2
+        parts = d._measure._parts[contsum._TABLE]
+        for k, p in enumerate((-1, -5, 5, 0), 2):
+            d.pmf_tau(p)
+            assert reads[0] == k, p
+        assert d._measure._parts == {contsum._TABLE: parts} and len(parts) == 4
+        assert d._measure._spent == 5 * d.n  # A's one entry, e + 1 = n steps a point
 
     def test_monomials_keep_no_row(self, monkeypatch):
         reads = _counting_rows(monkeypatch)
@@ -285,16 +278,16 @@ class TestFold:
             s.density_tau(F(k, 3))
             s.cdf(F(k, 3))
             assert reads[0] == 2 * k  # one Horner pass on the row per sum, every time
-        assert s._measure._parts[contsum._TABLE][4] == [None, None, None]
+        assert len(s._measure._parts[contsum._TABLE]) == 4
 
     def test_path_switch_drops_the_rows(self, monkeypatch):
-        # a multi-term polynomial on generic widths: the split answers first,
-        # and the table takes over once the terms summed pay for it
+        # generic widths: the split answers first, and the table takes over
+        # once the terms summed pay for it; the split's rows go
         reads = _counting_rows(monkeypatch)
         pairs = [(0, 1 + F(k, 7) + F(1, 2 ** (k + 4))) for k in range(8)]
         measure = ContinuousSum.from_pairs(pairs)._measure
         direct = helpers.forced(ContinuousSum.from_pairs(pairs), contsum._DIRECT)._measure
-        poly = (((8, 1), (3, -2), (0, 5)), 3)
+        poly = (8, F(1, 3))
         taken = []
         for i in range(400):
             taken.append(measure._choose(poly[0]))
@@ -303,12 +296,12 @@ class TestFold:
             if taken[-1] != taken[0]:
                 break
         assert taken[0] == contsum._SPLIT and taken[-1] == contsum._TABLE
-        assert set(measure._parts) == {contsum._TABLE}  # the split's folds went with it
-        assert reads[0] > before and _folded(measure, contsum._TABLE) == 1
+        assert set(measure._parts) == {contsum._TABLE}
+        assert reads[0] == before + 1
 
     def test_shared_table_across_threads(self):
         # eight threads, more than the cores, share one model on the table
-        # path and fold its rows outside the lock, with a short switch interval
+        # path and read its rows outside the lock, with a short switch interval
         ms = [128, 256, 384] * 4
         d = helpers.forced(DiscreteSum.from_half_ranges(ms), contsum._TABLE)
         ps = list(range(-60, 60, 3))
@@ -390,7 +383,7 @@ class TestModel:
         # exponent n - 1) on the direct loop
         identical = DiscreteSum.from_half_ranges([1] * 1024)
         helpers.assert_refused_unbuilt(lambda: identical.pmf_tau(0), 1025 * 1024)
-        # refused before the O(n^2) expansion of the PMF polynomial, too
+        # and 4,096, four times the entries, just as unbuilt
         identical = DiscreteSum.from_half_ranges([1] * 4096)
         helpers.assert_refused_unbuilt(lambda: identical.pmf_tau(0), 4097 * 4096)
 
@@ -398,15 +391,15 @@ class TestModel:
 class TestLaurent:
     @pytest.mark.parametrize("n", [*range(1, 41), 120])
     def test_matches_the_papers_laurent_sum(self, n):
-        # the central factorial product over its norm, term by term against
-        # (-1)^k B(n, k) / (n - 2k - 1)! * M / 2^(n - 1) from the series oracle
-        d = DiscreteSum.from_half_ranges([j % 3 for j in range(n)])
-        terms, divisor = d._laurent
+        # the paper's sum over k, sum_k (-1)^k B(n, k) y^(n-2k-1) / (n-2k-1)!
+        # with B(n, k) from the series oracle, is 2^(n-1) C(u - 1, n - 1) at the
+        # lattice arguments y = 2u - n > 0: a polynomial of degree n - 1, checked
+        # at n + 1 of them, the roots 0 < u < n among them
         oracle = csc_series_oracle(n, (n - 1) // 2)
-        assert [e for e, _ in terms] == [n - 2 * k - 1 for k in range(len(oracle))]
-        for k, (e, coef) in enumerate(terms):
-            want = (-1) ** k * oracle[k] / math.factorial(e) * d.mass_norm / 2 ** (n - 1)
-            assert coef / divisor == want, (n, k)
+        for y in range(2 - n % 2, 2 * n + 3, 2):
+            laurent = sum((-1) ** k * b * F(y ** (n - 2 * k - 1), math.factorial(n - 2 * k - 1))
+                          for k, b in enumerate(oracle))
+            assert laurent == 2 ** (n - 1) * math.comb((y + n) // 2 - 1, n - 1), (n, y)
 
     def test_pmf_reads_no_reciprocal_sine_row(self, monkeypatch):
         calls = helpers.record_rows(monkeypatch)
