@@ -783,8 +783,10 @@ class ContinuousSum(_Value):
     # vertex measure (a univariate box spline).  _pieces holds, at each knot
     # from lo to the center, both Taylor expansions in the length unit _unit:
     # of the piece to its right, and the top coefficient of the piece to its
-    # left, each the exact CDF row of _rows (which quantile reads too) rounded
-    # once.  A point is evaluated by Horner about its nearest knot, found by
+    # left.  The CDF's are the exact CDF rows of _rows (which quantile reads
+    # too), each rounded once; the density's are their derivatives, r c_r
+    # times 1 / _unit, so each carries one more rounding, the product by r.
+    # A point is evaluated by Horner about its nearest knot, found by
     # np.searchsorted, at the offset z = (x - knot) / _unit, which carries the
     # knot's rounding residual and so is exact up to its last rounding.  A
     # point past the middle reads the mirrored knot's piece at -z, by the
@@ -793,8 +795,8 @@ class ContinuousSum(_Value):
     # 2^-53 sum_r |c_r z^r| (c_r the coefficients used), and one rounding of
     # the CDF's 1 minus, which _batch_bound(e) bounds over the table.  Results
     # below 0 (density) or outside [0, 1] (CDF) are clamped, which only
-    # shrinks the error.  The table holds 2 n + 3 coefficients per kept knot,
-    # under the capacity rule (errors.MEASURE_MAX).
+    # shrinks the error.  The table holds 2 n + 3 coefficients per kept knot
+    # (n + 1 rounded from integers), under the capacity rule (errors.MEASURE_MAX).
 
     @cached_property
     def _unit(self) -> Fraction:
@@ -820,7 +822,10 @@ class ContinuousSum(_Value):
 
         columns[r][j] is the coefficient of z^r about knot j of the piece right
         of it, left tops[j] the top coefficient of the piece left of it, for the
-        h = ceil(K / 2) knots from lo, rounded from _rows.  knots are these and
+        h = ceil(K / 2) knots from lo: the CDF's rounded once from _rows, the
+        density's derived from them, and a left top the right top of knot
+        j - 1 (0 at lo), as a knot's weight changes that coefficient alone
+        (_knot_rows).  knots are these and
         their h mirror images (an odd K's middle knot twice) as doubles, and
         residuals what rounding left off.  splits are their midpoints, one ulp
         lower from the middle on: a point on one takes the knot nearer its own
@@ -829,42 +834,32 @@ class ContinuousSum(_Value):
         """
         import numpy as np
 
-        n, (keys, exact) = self.n, self._rows
-        weights, den = self._measure.full[1], self._measure.den
+        n, (keys, exact), den = self.n, self._rows, self._measure.den
         scale, shift, _, _ = self._frame
         descending, half = keys[::-1], len(exact)
         knots, residuals = [], []
         for k in descending[:half] + descending[-half:]:
             num = shift - k * (scale // den)
-            knot = num / scale
+            knots.append(knot := num / scale)
             p, q = knot.as_integer_ratio()
-            knots.append(knot)
             residuals.append((num * q - p * scale) / (scale * q))
-        # The CDF's coefficient of z^r is c_r unit^r den^(r - n) / norm_n, the
-        # density's of z^(r - 1) is r c_r unit^(r - 1) den^(r - n) / norm_n.
-        # Each column is (index into c + (left top,), numerator, denominator) in
-        # lowest terms, which rounds the same quotients from smaller integers:
-        # the CDF's n + 1 columns and left top, then the density's n and left top.
-        u, norm = self._unit, self._norms[n]
-        cdf = [(r, u.numerator ** r * norm.denominator,
-                u.denominator ** r * den ** (n - r) * norm.numerator) for r in range(n + 1)]
-        density = [(r, r * u.numerator ** (r - 1) * norm.denominator,
-                    u.denominator ** (r - 1) * den ** (n - r) * norm.numerator)
-                   for r in range(1, n + 1)]
-        plan = cdf + [(n + 1, *cdf[-1][1:])] + density + [(n + 1, *density[-1][1:])]
-        plan = [(r, *Fraction(m, d).as_integer_ratio()) for r, m, d in plan]
-        rows = []
-        for c, w in zip(exact, reversed(weights)):
-            ext = c + (c[n] - w,)  # the left top: the knot's weight taken off
-            rows.append([ext[r] * m / d for r, m, d in plan])
-        table = np.array(rows).T.copy()
+        # The CDF's coefficient of z^r is c_r unit^r den^(r - n) / norm_n, its
+        # (numerator, denominator) in lowest terms, which rounds the same quotient
+        # from smaller integers.  1 / unit is a power of two, taken first: a
+        # subnormal unit raises OverflowError here, before any numpy product.
+        u, norm, inverse = self._unit, self._norms[n], float(1 / self._unit)
+        plan = [(u ** r / den ** (n - r) / norm).as_integer_ratio() for r in range(n + 1)]
+        cdf = np.array([[v * m / d for v, (m, d) in zip(c, plan)] for c in exact]).T.copy()
+        with np.errstate(over="ignore"):  # the density's of z^(r - 1): r c_r / unit
+            density = cdf[1:] * np.arange(1, n + 1)[:, None] * inverse
+        if not np.isfinite(density).all():  # as rounding its exact quotient would
+            raise OverflowError("a density coefficient is too large for a float")
         knots, order = np.array(knots), np.arange(half)
         splits = knots[:-1] + 0.5 * np.diff(knots)
         splits[half - 1:] = np.nextafter(splits[half - 1:], -math.inf)
-        units = np.repeat([float(1 / u), float(-1 / u)], half)
+        units = np.repeat([inverse, -inverse], half)
         return knots, np.array(residuals), splits, np.concatenate([order, order[::-1]]), units, {
-            n: (table[:n + 1], table[n + 1]),
-            n - 1: (table[n + 2:2 * n + 2], table[2 * n + 2])}
+            e: (t, np.insert(t[-1], 0, 0.0)[:-1]) for e, t in ((n, cdf), (n - 1, density))}
 
     def _batch(self, xs, exponent: int) -> np.ndarray:
         """The piece table of exponent n (CDF) or n - 1 (density) at xs, clamped to the
@@ -896,7 +891,9 @@ class ContinuousSum(_Value):
         2^-53 times the table maximum M, the largest sum_r |c_r| |z|^r over the
         kept pieces with |z| half a piece, as a mirrored point's is.  Rounding
         the coefficients and z and Horner's 2 e steps take at most
-        (3 e + 1) 2^-53 M; a CDF point past the middle rounds 1 - acc in [0, 1]
+        (3 e + 1) 2^-53 M for the CDF, and (3 e + 2) 2^-53 M <= 4 (e + 1) 2^-53 M
+        for the density, whose coefficients carry two roundings (the CDF's and
+        the product by r); a CDF point past the middle rounds 1 - acc in [0, 1]
         once more, by at most 2^-53 <= (e + 3) 2^-53 M, as M >= F(center) = 1/2.
         Computed on each call, from _pieces."""
         import numpy as np
@@ -928,8 +925,8 @@ class ContinuousSum(_Value):
         xs = np.asarray(xs, dtype=float)
         out = np.clip(self._batch(xs, self.n), 0.0, 1.0)
         lo, hi = float(self._lo), float(self._hi)
-        out = np.where(xs <= lo, 0.0, out)
-        return np.where(xs >= hi, 1.0, out)
+        out = np.where(xs < lo, 0.0, out)  # strictly: a rounded end may lie inside the
+        return np.where(xs > hi, 1.0, out)  # support, where _batch's value is the right one
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@
 #   with none, the first density, CDF or PMF is refused, naming the
 #   smallest size.  1,023 identical components are
 #   admitted, 1,024 refused (1025 * 1025 continuous, 1025 * 1024 discrete).
-#   29 generic continuous widths (2**14 + 2**15 * 31 entries) take 0.45 to
-#   0.7 s to the first exact cdf and 166 to 170 MB of peak RSS; 30 are refused.
+#   29 generic continuous widths (2**14 + 2**15 * 31 entries) take 0.5 to
+#   0.8 s to the first exact cdf and 165 to 170 MB of peak RSS; 30 are refused.
 # * breakpoints() builds the whole measure, whose bound must fit: refused
 #   from 21 generic widths on (2**20 generic entries take about 2.5 s and
 #   230 MB of peak RSS).
@@ -27,8 +27,9 @@
 #   to the center, and keep the exact CDF rows they round,
 #   ceil(K / 2) * (n + 1) integers, for quantile: the bound times (n + 2)
 #   must fit, which admits 15 generic widths and refuses 16 (2**16 * 18
-#   entries).  At 15, both batch paths on 3,000 points take about 1.4 s and
-#   90 MB of peak RSS (1.5 s and 108 MB while the table held every key).
+#   entries).  At 15, both batch paths on 3,000 points take 0.6 to 0.9 s and
+#   72 MB of peak RSS (0.8 to 1.2 s and 90 MB while the density was rounded
+#   from exact coefficients of its own, 108 MB while the table held every key).
 # * support, moments and sampling never build the measure and work at any n.
 # Timings on CPython 3.11, a 2-core x86-64 machine.
 MEASURE_MAX = 2 ** 20

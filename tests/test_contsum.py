@@ -8,6 +8,7 @@ import pickle
 import random
 import sys
 import threading
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
@@ -599,6 +600,24 @@ class TestFloatScale:
             want = [scalar(x, FLOAT).value for x in xs]
             assert got == pytest.approx(want, rel=1e-9)
 
+    def test_batch_paths_at_the_bottom_of_the_float_range(self):
+        # unit 2^-1021: the density's coefficients are near 2^1021, and its
+        # derivation multiplies by r before the power of two 1 / unit
+        s = ContinuousSum.from_pairs([(0, F(1, 2 ** 1021))] * 10)
+        lo, hi = map(float, s.support())
+        _assert_within_bound(s, np.array([lo / 2, 0.0, hi / 3]))
+
+    @pytest.mark.parametrize("pairs", [[(0, F(1, 2 ** 1060))] * 3, [(0, 1e-310), (0, 1e-100)]],
+                             ids=["subnormal-unit", "density-beyond-the-float-range"])
+    def test_batch_paths_refuse_an_unrepresentable_table(self, pairs):
+        # an OverflowError, not a RuntimeWarning first, nor an inf or NaN returned
+        s = ContinuousSum.from_pairs(pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch in (s.density_batch, s.cdf_batch):
+                with pytest.raises(OverflowError):
+                    batch([0.0])
+
 
 class TestBruteForceReference:
     """Every closed form equals plain itertools.product vertex enumeration."""
@@ -1127,11 +1146,13 @@ def _bits(values):
 
 
 def _assert_table_rounded_once(s):
-    """The piece table holds the ceil(K / 2) knots from lo, and every entry is
+    """The piece table holds the ceil(K / 2) knots from lo.  Every CDF entry is
     float() of its exact coefficient, bit for bit, derived here from the moments
     of the measure about each knot hi - k / den: right of it the CDF is sum over
-    keys k_t >= k of w_t (unit z + (k_t - k) / den)^n over its norm, and the
-    density its derivative in x."""
+    keys k_t >= k of w_t (unit z + (k_t - k) / den)^n over its norm, and left of
+    it the same less the knot's weight in the top coefficient.  The density's
+    entries are the CDF's times r, then times 1 / unit (a power of two), bit for
+    bit: its derivative, with one more rounding."""
     tables = s._pieces[-1]
     keys, weights = s._measure.full
     n, den, u, norm = s.n, s._measure.den, s._unit, s._norms[s.n]
@@ -1147,10 +1168,11 @@ def _assert_table_rounded_once(s):
         columns, top = tables[n]
         assert _bits(column[i] for column in columns) == _bits(cdf), i
         assert _bits([top[i]]) == _bits([left]), i
-        columns, top = tables[n - 1]
-        assert _bits(column[i] for column in columns) == _bits(r * c / u
-                                                               for r, c in enumerate(cdf) if r), i
-        assert _bits([top[i]]) == _bits([n * left / u]), i
+    cdf_columns, cdf_left = tables[n]
+    columns, top = tables[n - 1]
+    r = np.arange(1, n + 1)[:, None]
+    assert _bits(np.ravel(columns)) == _bits(np.ravel(cdf_columns[1:] * r * float(1 / u)))
+    assert _bits(top) == _bits(cdf_left * n * float(1 / u))
     for e, (columns, top) in tables.items():
         assert np.shape(columns) == (e + 1, half) and len(top) == half
 
@@ -1166,7 +1188,9 @@ class TestBatch:
     @pytest.mark.parametrize("s", [
         ContinuousSum.from_pairs([(0, 1)] * 12),
         _eighths(9, 9),
-        _generic_shifted(9, 9)], ids=["12-identical", "eighths-9", "generic-9"])
+        _generic_shifted(9, 9),
+        ContinuousSum.from_pairs([(F(19, 5), F(1, 8))])],  # hi = 3.925 is no double
+        ids=["12-identical", "eighths-9", "generic-9", "one-box-off-the-doubles"])
     def test_bound_and_tails(self, s):
         lo, hi = map(float, s.support())
         xs = np.linspace(lo, hi, 1001)
@@ -1192,6 +1216,14 @@ class TestBatch:
         # the kept half: the middle knot of an odd count is its own mirror,
         # and n = 1 has jumps at both ends
         _assert_table_rounded_once(s)
+
+    @given(_piece_models)
+    @settings(max_examples=40, deadline=None)
+    def test_within_bound_drawn(self, s):
+        # at the knots as doubles, the midpoints of the gaps and next to both ends
+        knots = np.array(s.breakpoints(), dtype=float)
+        tails = [knots[0] + (knots[1] - knots[0]) / 1024, knots[-1] - (knots[-1] - knots[-2]) / 1024]
+        _assert_within_bound(s, np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, tails]))
 
     @pytest.mark.parametrize("s", [UNIT_BOX, TRIANGLE, TWO_MIXED, _eighths(9, 9),
                                    _generic_shifted(9, 9)])
